@@ -56,17 +56,14 @@ from ..compiler.schedule import (
     analyze_schedule,
 )
 from ..errors import ReproError, SimulationError
-from ..graph.cell import Cell
-from ..machine.machine import Machine
+from ..graph.table import CellRow
+from ..machine.machine import _TICKERS, Machine, _CellState
 
 #: fewer periods than this are not worth a jump's bookkeeping
 _MIN_JUMP = 8
 #: anchor firings examined before period detection gives up, keeping
 #: never-periodic runs within a constant factor of plain event cost
 _CALIBRATION_BUDGET = 4096
-#: event kinds a clean (fault-free, checkpoint-free) run can have in
-#: flight, with the argument positions that carry data values
-_TICKERS = ("watchdog_tick", "checkpoint_tick")
 
 
 def _values_equal(a: list, b: list) -> bool:
@@ -140,10 +137,10 @@ class TurboMachine(Machine):
         self._max_cycles_cap = max_cycles
         return super().run(max_cycles=max_cycles, **kwargs)
 
-    def _fire(self, cell: Cell) -> None:
-        if self._armed and cell.cid == self._anchor:
+    def _fire(self, row: CellRow, st: _CellState) -> None:
+        if self._armed and row.cid == self._anchor:
             self._on_anchor()
-        super()._fire(cell)
+        Machine._fire(self, row, st)
 
     # ------------------------------------------------------------------
     # period detection
@@ -305,7 +302,9 @@ class TurboMachine(Machine):
         if self._eval_values is not None:
             return True
         try:
-            values = StreamEvaluator(self.graph, self.inputs).run()
+            values = StreamEvaluator(
+                self.graph, self.inputs, table=self._table
+            ).run()
         except ScheduleError as exc:
             self._disarm(f"stream evaluation failed: {exc}")
             return False

@@ -34,20 +34,23 @@ the evaluator supplies exact *values*.
 from __future__ import annotations
 
 import operator
+from collections import deque
 from dataclasses import dataclass, field
+from itertools import islice
 from typing import Any, Optional
 
 from ..errors import ReproError
-from ..graph.cell import GATE_PORT, Cell
+from ..graph.cell import GATE_PORT
 from ..graph.graph import DataflowGraph
-from ..graph.opcodes import (
-    BINARY_OPS,
-    MERGE_CONTROL_PORT,
-    MERGE_FALSE_PORT,
-    MERGE_TRUE_PORT,
-    UNARY_OPS,
-    Op,
-    apply_scalar,
+from ..graph.opcodes import MERGE_CONTROL_PORT, UNARY_OPS, Op
+from ..graph.table import (
+    MERGE,
+    SCALAR,
+    SINK,
+    SOURCE,
+    CellRow,
+    CellTable,
+    Slot,
 )
 
 try:                            # optional acceleration only
@@ -204,6 +207,7 @@ _NP_UNOPS = {Op.NEG: operator.neg, Op.ABS: abs}
 _NP_MIN_BATCH = 32
 
 _INF = 1 << 62
+_identity = UNARY_OPS[Op.ID]
 
 
 class StreamEvaluator:
@@ -215,10 +219,19 @@ class StreamEvaluator:
     *when* tokens move, never *which* values they become, so the
     resulting sink streams equal the event machine's bit for bit (Kahn
     determinism).
+
+    Everything static about a cell comes from the graph's
+    :class:`~repro.graph.table.CellTable` (``table`` shares the one a
+    machine already built).  Feedback loops (recurrences) admit one
+    element per visit, so a cell may be visited O(stream) times; those
+    visits take single-token paths that skip the batch machinery.
     """
 
     def __init__(
-        self, graph: DataflowGraph, inputs: dict[str, list[Any]]
+        self,
+        graph: DataflowGraph,
+        inputs: dict[str, list[Any]],
+        table: Optional[CellTable] = None,
     ) -> None:
         for cell in graph:
             if cell.op in (Op.CONST, Op.FIFO):
@@ -228,64 +241,15 @@ class StreamEvaluator:
                 )
         self.graph = graph
         self.inputs = inputs
-        #: per-arc token queue, consumed via a head cursor
-        self._buf: dict[int, list[Any]] = {
-            aid: [] for aid in graph.arcs
-        }
-        self._head: dict[int, int] = {aid: 0 for aid in graph.arcs}
+        self._rows = CellTable.of(graph, table).rows
+        #: per-arc token queue
+        self._buf: dict[int, deque] = {aid: deque() for aid in graph.arcs}
         for arc in graph.arcs.values():
             if arc.has_initial:
                 self._buf[arc.aid].append(arc.initial)
         self.sink_values: dict[int, list[Any]] = {}
         self._source_pos: dict[int, int] = {}
         self._source_seq: dict[int, list[Any]] = {}
-        # Feedback loops (recurrences) admit one element per visit, so
-        # a cell may be visited O(stream) times; everything resolvable
-        # from the graph alone is precomputed per cell so each visit
-        # costs only buffer arithmetic.
-        #: data ports as (port, input aid or None-for-const, const);
-        #: aid -1 marks an unconnected port (the cell can never fire)
-        self._in_aids: dict[int, tuple[tuple[int, Optional[int], Any], ...]] = {}
-        #: destination arcs as (aid, dst cell, tag)
-        self._outs: dict[int, tuple[tuple[int, int, Optional[bool]], ...]] = {}
-        #: scalar implementation of the cell's opcode (None: not a
-        #: plain scalar operator)
-        self._scalar_fn: dict[int, Any] = {}
-        #: gate port as (aid or None-for-const or -1, const); None
-        #: entry for ungated cells
-        self._gate_io: dict[int, Optional[tuple[Optional[int], Any]]] = {}
-        #: MERGE ports (control, true, false), same encoding
-        self._merge_io: dict[int, tuple] = {}
-
-        def port_io(cell: Cell, port: int) -> tuple[Optional[int], Any]:
-            if port in cell.consts:
-                return None, cell.consts[port]
-            arc = graph.in_arc.get((cell.cid, port))
-            return (arc.aid if arc is not None else -1), None
-
-        for cell in graph:
-            self._in_aids[cell.cid] = tuple(
-                (port, *port_io(cell, port))
-                for port in cell.data_ports()
-            )
-            self._outs[cell.cid] = tuple(
-                (a.aid, a.dst, a.tag) for a in graph.out_arcs[cell.cid]
-            )
-            self._scalar_fn[cell.cid] = BINARY_OPS.get(
-                cell.op
-            ) or UNARY_OPS.get(cell.op)
-            self._gate_io[cell.cid] = (
-                port_io(cell, GATE_PORT) if cell.gated else None
-            )
-            if cell.op is Op.MERGE:
-                self._merge_io[cell.cid] = tuple(
-                    port_io(cell, p)
-                    for p in (
-                        MERGE_CONTROL_PORT,
-                        MERGE_TRUE_PORT,
-                        MERGE_FALSE_PORT,
-                    )
-                )
         total_tokens = 0
         for cell in graph:
             if cell.op in (Op.SINK, Op.AM_WRITE):
@@ -304,42 +268,108 @@ class StreamEvaluator:
         #: evaluator forever
         self._budget = 10_000 + 64 * max(1, total_tokens)
         self.firings = 0
+        # Single-token plans: the cells of recurrence loops, which the
+        # driver fires one token at a time inline, without the batch
+        # machinery.  Built for the common shapes only; every other
+        # cell, and every visit with more than one token, goes
+        # through _fire.
+        #: operator and sink plans, see _operator_plan
+        self._plans: dict[int, tuple] = {}
+        #: MERGE plans, see _merge_plan
+        self._merge_plans: dict[int, tuple] = {}
+        for cid, row in self._rows.items():
+            if row.kind == MERGE:
+                plan = self._merge_plan(row)
+                if plan is not None:
+                    self._merge_plans[cid] = plan
+            elif row.kind in (SCALAR, SINK):
+                plan = self._operator_plan(row)
+                if plan is not None:
+                    self._plans[cid] = plan
+
+    def _operator_plan(self, row: CellRow) -> Optional[tuple]:
+        """``(fn, input queue, second input queue or None, output
+        queues, fed cells)`` for an ungated operator or sink whose
+        operands all arrive on arcs.  A sink is an identity whose
+        output queue is its value list."""
+        if row.gate is not None:
+            return None
+        ins = [self._buf[aid] for _p, aid, _c in row.data
+               if aid is not None and aid >= 0]
+        if len(ins) != len(row.data):
+            return None         # a constant or undriven operand
+        if row.kind == SINK:
+            return _identity, ins[0], None, (self.sink_values[row.cid],), ()
+        return (
+            row.fn, ins[0], ins[1] if len(ins) == 2 else None,
+            tuple(self._buf[aid] for aid in row.out_false),
+            [arc.dst for arc in row.outs if not arc.tag],
+        )
+
+    def _merge_plan(self, row: CellRow) -> Optional[tuple]:
+        """``(control queue, true input, false input, gate queue or
+        None, (output queues, fed cells) for gate true, the same for
+        gate false)`` for a MERGE whose control and gate arrive on arcs;
+        an input is ``(queue, None)`` or ``(None, constant)``."""
+        ctl_slot, true_slot, false_slot = row.merge
+        gate = row.gate
+        if ctl_slot[1] is None or ctl_slot[1] < 0 or (
+            gate is not None and (gate[1] is None or gate[1] < 0)
+        ):
+            return None
+        if true_slot[1] == -1 or false_slot[1] == -1:
+            return None         # an undriven input
+
+        def operand(slot: Slot) -> tuple:
+            _port, aid, const = slot
+            return (None, const) if aid is None else (self._buf[aid], None)
+
+        def routes(aids: tuple[int, ...]) -> tuple:
+            return (
+                tuple(self._buf[aid] for aid in aids),
+                [arc.dst for arc in row.outs if arc.aid in aids],
+            )
+
+        return (
+            self._buf[ctl_slot[1]], operand(true_slot),
+            operand(false_slot),
+            None if gate is None else self._buf[gate[1]],
+            routes(row.out_true), routes(row.out_false),
+        )
 
     # -- operand plumbing ----------------------------------------------
-    def _avail(self, cell: Cell, port: int) -> int:
-        if port in cell.consts:
+    def _avail(self, slot: Slot) -> int:
+        _port, aid, _const = slot
+        if aid is None:
             return _INF
-        arc = self.graph.in_arc.get((cell.cid, port))
-        if arc is None:
+        if aid < 0:
             return 0
-        return len(self._buf[arc.aid]) - self._head[arc.aid]
+        return len(self._buf[aid])
 
-    def _take(self, cell: Cell, port: int, n: int) -> list[Any]:
-        """Consume and return ``n`` tokens from an operand port."""
-        if port in cell.consts:
-            return [cell.consts[port]] * n
-        arc = self.graph.in_arc[(cell.cid, port)]
-        return self._take_aid(arc.aid, n)
-
-    def _take_aid(self, aid: int, n: int) -> list[Any]:
-        buf, head = self._buf[aid], self._head[aid]
-        out = buf[head:head + n]
-        head += n
-        if head > 4096 and head * 2 > len(buf):
-            # reclaim consumed prefixes so long runs stay linear-memory
-            self._buf[aid] = buf[head:]
-            head = 0
-        self._head[aid] = head
+    def _take(self, slot: Slot, n: int) -> list[Any]:
+        """Consume and return ``n`` tokens from an operand slot."""
+        _port, aid, const = slot
+        if aid is None:
+            return [const] * n
+        buf = self._buf[aid]
+        if n == len(buf):
+            out = list(buf)
+            buf.clear()
+            return out
+        out = list(islice(buf, n))
+        for _ in range(n):
+            buf.popleft()
         return out
 
     def _emit(
-        self, cell: Cell, results: list[Any], gates: Optional[list[Any]]
+        self, row: CellRow, results: list[Any], gates: Optional[list[Any]]
     ) -> list[int]:
         """Route a batch of results to the cell's destination arcs,
         honoring T/F tags exactly like :meth:`Machine._fire`; returns
         the destination cell ids that received tokens."""
         touched: list[int] = []
-        for aid, dst, tag in self._outs[cell.cid]:
+        for arc in row.outs:
+            aid, dst, tag = arc.aid, arc.dst, arc.tag
             if tag is None:
                 picked = results
             else:
@@ -352,92 +382,80 @@ class StreamEvaluator:
                 touched.append(dst)
         return touched
 
-    def _gate_batch(
-        self, cell: Cell, n: int
-    ) -> Optional[list[Any]]:
-        gio = self._gate_io[cell.cid]
-        if gio is None:
-            return None
-        aid, const = gio
-        if aid is None:
-            return [const] * n
-        return self._take_aid(aid, n)
+    def _gate_batch(self, row: CellRow, n: int) -> Optional[list[Any]]:
+        return None if row.gate is None else self._take(row.gate, n)
 
-    # -- per-opcode batch firing ---------------------------------------
-    def _fire_batch(self, cell: Cell) -> list[int]:
-        """Fire ``cell`` as often as possible; returns dst cells fed."""
-        op = cell.op
-        gio = self._gate_io[cell.cid]
-        if gio is None or gio[0] is None:
-            gate_avail = _INF
-        elif gio[0] < 0:
+    # -- per-opcode firing ---------------------------------------------
+    def _fire(self, row: CellRow) -> list[int]:
+        """Fire a cell as often as possible; returns dst cells fed.
+        Scalar operators and IDs (most cells) are handled inline."""
+        gate_avail = _INF if row.gate is None else self._avail(row.gate)
+        if gate_avail <= 0:
             return []
-        else:
-            gate_avail = len(self._buf[gio[0]]) - self._head[gio[0]]
-            if gate_avail <= 0:
-                return []
-
-        if op in (Op.SOURCE, Op.AM_READ):
-            pos = self._source_pos[cell.cid]
-            seq = self._source_seq[cell.cid]
-            n = min(len(seq) - pos, gate_avail)
-            if n <= 0:
-                return []
-            self._count(n)
-            results = list(seq[pos:pos + n])
-            self._source_pos[cell.cid] = pos + n
-            gates = self._gate_batch(cell, n)
-            return self._emit(cell, results, gates)
-
-        if op in (Op.SINK, Op.AM_WRITE):
-            n = min(self._avail(cell, 0), gate_avail)
-            if n <= 0:
-                return []
-            self._count(n)
-            values = self._take(cell, 0, n)
-            self._gate_batch(cell, n)
-            self.sink_values[cell.cid].extend(values)
-            return []
-
-        if op is Op.MERGE:
-            return self._fire_merge(cell, gate_avail)
-
-        # ordinary scalar operator / ID
-        entries = self._in_aids[cell.cid]
-        buf_map, head_map = self._buf, self._head
+        kind = row.kind
+        if kind == MERGE:
+            return self._fire_merge(row, gate_avail)
+        if kind == SOURCE:
+            return self._fire_source(row, gate_avail)
+        if kind == SINK:
+            return self._fire_sink(row, gate_avail)
+        data = row.data
+        buf_map = self._buf
         n = gate_avail
-        for _port, aid, _const in entries:
+        for _port, aid, _const in data:
             if aid is None:
                 continue
             if aid < 0:
                 return []       # unconnected port: can never fire
-            avail = len(buf_map[aid]) - head_map[aid]
+            avail = len(buf_map[aid])
             if avail < n:
                 n = avail
         if n <= 0 or n >= _INF:
             if n >= _INF:
                 raise ScheduleError(
-                    f"cell {cell.cid} has only constant operands"
+                    f"cell {row.cid} has only constant operands"
                 )
             return []
-        self._count(n)
-        cols = [
-            [const] * n if aid is None else self._take_aid(aid, n)
-            for _port, aid, const in entries
-        ]
-        results = self._apply_batch(cell, cols, n)
-        gates = self._gate_batch(cell, n)
-        return self._emit(cell, results, gates)
+        self.firings += n
+        cols = [self._take(slot, n) for slot in data]
+        results = self._apply_batch(row, cols, n)
+        gates = self._gate_batch(row, n)
+        return self._emit(row, results, gates)
 
-    def _fire_merge(self, cell: Cell, gate_avail: int) -> list[int]:
+    def _fire_source(self, row: CellRow, gate_avail: int) -> list[int]:
+        """SOURCE / AM_READ: emit the next stream elements."""
+        cid = row.cid
+        pos = self._source_pos[cid]
+        seq = self._source_seq[cid]
+        n = min(len(seq) - pos, gate_avail)
+        if n <= 0:
+            return []
+        self.firings += n
+        self._source_pos[cid] = pos + n
+        results = list(seq[pos:pos + n])
+        gates = self._gate_batch(row, n)
+        return self._emit(row, results, gates)
+
+    def _fire_sink(self, row: CellRow, gate_avail: int) -> list[int]:
+        """SINK / AM_WRITE: record the arrived elements."""
+        slot = row.data[0]
+        n = min(self._avail(slot), gate_avail)
+        if n <= 0:
+            return []
+        self.firings += n
+        self.sink_values[row.cid].extend(self._take(slot, n))
+        self._gate_batch(row, n)
+        return []
+
+    def _fire_merge(self, row: CellRow, gate_avail: int) -> list[int]:
         """Drain a MERGE cell run by run: each maximal run of equal
         control values selects one input port for the whole run."""
         touched: list[int] = []
-        (ctl_aid, ctl_const), true_io, false_io = self._merge_io[cell.cid]
-        buf_map, head_map = self._buf, self._head
-        gated = self._gate_io[cell.cid] is not None
-        buf: list[Any] = []
-        head = 0
+        ctl_slot, true_slot, false_slot = row.merge
+        _port, ctl_aid, ctl_const = ctl_slot
+        gate_slot = row.gate
+        buf_map = self._buf
+        ctl_buf: deque = deque()
         while True:
             if ctl_aid is None:
                 ctl = bool(ctl_const)
@@ -445,59 +463,49 @@ class StreamEvaluator:
             elif ctl_aid < 0:
                 return touched
             else:
-                buf = buf_map[ctl_aid]
-                head = head_map[ctl_aid]
-                ctl_avail = len(buf) - head
+                ctl_buf = buf_map[ctl_aid]
+                ctl_avail = len(ctl_buf)
                 if ctl_avail <= 0:
                     return touched
-                ctl = bool(buf[head])
-            sel_aid, sel_const = true_io if ctl else false_io
-            if sel_aid is None:
-                sel_avail = _INF
-            elif sel_aid < 0:
-                sel_avail = 0
-            else:
-                sel_avail = len(buf_map[sel_aid]) - head_map[sel_aid]
-            cap = min(ctl_avail, sel_avail, gate_avail)
+                ctl = bool(ctl_buf[0])
+            sel = true_slot if ctl else false_slot
+            cap = min(ctl_avail, self._avail(sel), gate_avail)
             if cap <= 0 or cap >= _INF:
                 if cap >= _INF:
                     raise ScheduleError(
-                        f"MERGE cell {cell.cid} has only constant "
+                        f"MERGE cell {row.cid} has only constant "
                         f"operands"
                     )
                 return touched
-            if ctl_aid is None:
+            if ctl_aid is None or cap == 1:
                 n = cap
             else:
                 # extend the equal-control run only as far as this
                 # visit can consume anyway: scanning the whole run
-                # would cost O(stream) per visit on feedback loops
-                # (recurrences) that admit one token at a time
+                # would cost O(stream) per visit
                 n = 1
-                while n < cap and bool(buf[head + n]) == ctl:
+                for value in islice(ctl_buf, 1, cap):
+                    if bool(value) != ctl:
+                        break
                     n += 1
-                self._take_aid(ctl_aid, n)
-            self._count(n)
-            results = (
-                [sel_const] * n
-                if sel_aid is None
-                else self._take_aid(sel_aid, n)
-            )
-            gates = self._gate_batch(cell, n)
-            gate_avail -= n if gated else 0
-            touched.extend(self._emit(cell, results, gates))
-            if gated and gate_avail <= 0:
-                return touched
+            self.firings += n
+            if ctl_aid is not None:
+                self._take(ctl_slot, n)
+            results = self._take(sel, n)
+            gates = self._gate_batch(row, n)
+            touched.extend(self._emit(row, results, gates))
+            if gate_slot is not None:
+                gate_avail -= n
+                if gate_avail <= 0:
+                    return touched
 
     def _apply_batch(
-        self, cell: Cell, cols: list[list[Any]], n: int
+        self, row: CellRow, cols: list[list[Any]], n: int
     ) -> list[Any]:
-        op = cell.op
+        op = row.op
         if op is Op.ID:
             return cols[0]
-        fn = self._scalar_fn[cell.cid]
-        if fn is None:
-            raise ScheduleError(f"cannot batch opcode {op!r}")
+        fn = row.fn
         if (
             _np is not None
             and n >= _NP_MIN_BATCH
@@ -514,14 +522,28 @@ class StreamEvaluator:
             return [fn(x, y) for x, y in zip(a, b)]
         return [fn(x) for x in cols[0]]
 
-    def _count(self, n: int) -> None:
-        self.firings += n
-        if self.firings > self._budget:
-            raise ScheduleError(
-                f"evaluation exceeded the firing budget "
-                f"({self._budget}); the graph likely recirculates "
-                f"tokens indefinitely"
-            )
+    def _merge_step(self, plan: tuple, row: CellRow) -> list[int]:
+        """Fire a planned MERGE once, then hand any further firings of
+        the same visit to :meth:`_fire_merge`."""
+        ctl_q, true_in, false_in, gate_q, when_true, when_false = plan
+        if not ctl_q or (gate_q is not None and not gate_q):
+            return []
+        queue, value = true_in if ctl_q[0] else false_in
+        if queue is not None:
+            if not queue:
+                return []
+            value = queue.popleft()
+        ctl_q.popleft()
+        gate = None if gate_q is None else gate_q.popleft()
+        outs, fed = when_true if gate else when_false
+        for out in outs:
+            out.append(value)
+        self.firings += 1
+        if ctl_q and (gate_q is None or gate_q):
+            queue, _const = true_in if ctl_q[0] else false_in
+            if queue is None or queue:
+                return fed + self._fire(row)
+        return fed
 
     # -- driver --------------------------------------------------------
     def run(self) -> dict[int, list[Any]]:
@@ -529,17 +551,57 @@ class StreamEvaluator:
         id.  Raises :class:`ScheduleError` when the graph defeats
         batched evaluation (the caller falls back to plain event
         execution)."""
+        rows = self._rows
+        fire = self._fire
+        plans = self._plans
+        merge_plans = self._merge_plans
+        budget = self._budget
         try:
             pending = list(self.graph.cells)
             queued = set(pending)
-            while pending:
-                cid = pending.pop()
-                queued.discard(cid)
-                touched = self._fire_batch(self.graph.cells[cid])
+            cid: Optional[int] = None
+            while cid is not None or pending:
+                if cid is None:
+                    cid = pending.pop()
+                    queued.discard(cid)
+                plan = plans.get(cid)
+                if plan is None:
+                    merge = merge_plans.get(cid)
+                    touched = (
+                        fire(rows[cid]) if merge is None
+                        else self._merge_step(merge, rows[cid])
+                    )
+                else:
+                    fn, a, b, outs, fed = plan
+                    n = len(a) if b is None else min(len(a), len(b))
+                    if n == 1:
+                        result = (
+                            fn(a.popleft()) if b is None
+                            else fn(a.popleft(), b.popleft())
+                        )
+                        for q in outs:
+                            q.append(result)
+                        self.firings += 1
+                        touched = fed
+                    else:
+                        touched = fire(rows[cid]) if n else ()
+                if self.firings > budget:
+                    raise ScheduleError(
+                        f"evaluation exceeded the firing budget "
+                        f"({budget}); the graph likely recirculates "
+                        f"tokens indefinitely"
+                    )
+                # worklist order is LIFO, so the last newly fed cell
+                # would be popped next anyway: fire it in place, and a
+                # one-token feedback loop drains without a worklist
+                # round trip per cell
+                cid = None
                 for dst in touched:
-                    if dst not in queued:
-                        queued.add(dst)
-                        pending.append(dst)
+                    if dst not in queued and dst != cid:
+                        if cid is not None:
+                            queued.add(cid)
+                            pending.append(cid)
+                        cid = dst
         except ZeroDivisionError as exc:
             raise ScheduleError(
                 "division by zero during stream evaluation"

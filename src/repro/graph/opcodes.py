@@ -115,23 +115,43 @@ def _int_div(a: int, b: int) -> int:
     return math.floor(q) if q >= 0 else -math.floor(-q)
 
 
+#: Number of *data* operand ports per opcode (gate control excluded).
+ARITY: dict[Op, int] = {
+    **{op: 2 for op in BINARY_OPS},
+    **{op: 1 for op in UNARY_OPS},
+    Op.MERGE: 3,
+    Op.SOURCE: 0,
+    Op.CONST: 0,
+    Op.AM_READ: 0,
+    Op.SINK: 1,
+    Op.FIFO: 1,
+    Op.AM_WRITE: 1,
+}
+
+#: Where each opcode's operation packet executes: ``"am"`` (an array
+#: memory unit), ``"fu"`` (a function unit) or ``"pe"`` (inside the
+#: processing element) -- the values of
+#: :class:`repro.machine.packets.UnitClass`.
+UNIT_OF: dict[Op, str] = {
+    op: (
+        "am" if op in ARRAY_MEMORY_OPS
+        else "fu" if op in FUNCTION_UNIT_OPS
+        else "pe"
+    )
+    for op in Op
+}
+
+
 def arity(op: Op) -> int:
     """Number of *data* operand ports for ``op`` (gate control excluded).
 
     MERGE reports 3 because its control operand is port 0 by convention;
     SOURCE/CONST report 0; SINK and unary operators report 1.
     """
-    if op in BINARY_OPS:
-        return 2
-    if op in UNARY_OPS:
-        return 1
-    if op is Op.MERGE:
-        return 3
-    if op in (Op.SOURCE, Op.CONST, Op.AM_READ):
-        return 0
-    if op in (Op.SINK, Op.FIFO, Op.AM_WRITE):
-        return 1
-    raise ValueError(f"unknown opcode {op!r}")
+    try:
+        return ARITY[op]
+    except KeyError:
+        raise ValueError(f"unknown opcode {op!r}") from None
 
 
 def apply_scalar(op: Op, args: list[Any]) -> Any:

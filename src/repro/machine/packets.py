@@ -16,7 +16,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
-from typing import Any, Optional
+from typing import Any
+
+from ..graph.opcodes import UNIT_OF
 
 
 class UnitClass(Enum):
@@ -91,17 +93,18 @@ class PacketCounters:
         )
 
 
+#: unit class per opcode name, resolved once at import
+_UNIT_BY_NAME: dict[str, UnitClass] = {
+    op.value: UnitClass(unit) for op, unit in UNIT_OF.items()
+}
+
+
 def classify_unit(op_name: str, has_fu: bool = True) -> UnitClass:
-    """Destination unit class of an opcode (by name, to avoid import
-    cycles with the graph package)."""
-    from ..graph.opcodes import ARRAY_MEMORY_OPS, FUNCTION_UNIT_OPS, Op
-
-    op = Op(op_name)
-    if op in ARRAY_MEMORY_OPS:
-        return UnitClass.ARRAY_MEMORY
-    if op in FUNCTION_UNIT_OPS and has_fu:
-        return UnitClass.FUNCTION_UNIT
-    return UnitClass.LOCAL
-
-
-_ = Optional  # reserved for routed-path metadata extensions
+    """Destination unit class of an opcode, by name."""
+    try:
+        unit = _UNIT_BY_NAME[op_name]
+    except KeyError:
+        raise ValueError(f"{op_name!r} is not a valid Op") from None
+    if unit is UnitClass.FUNCTION_UNIT and not has_fu:
+        return UnitClass.LOCAL
+    return unit

@@ -135,8 +135,9 @@ from ..faults import FaultPlan
 from ..graph.graph import DataflowGraph
 from ..graph.lower import lower_fifos
 from ..graph.opcodes import Op
+from ..graph.table import CellTable
 from .config import MachineConfig
-from .machine import Machine, _CellState
+from .machine import _TICKERS, Machine, _CellState
 from .packets import PacketCounters
 from .shard_config import (
     RecoveryPolicy,
@@ -243,6 +244,7 @@ class ShardMachine(Machine):
         policy: str = "round_robin",
         fault_plan: Optional[FaultPlan] = None,
         recovery: bool = True,
+        table: Optional[CellTable] = None,
     ) -> None:
         if fault_plan is not None and n_shards > 1:
             if fault_plan.unit_faults:
@@ -271,6 +273,7 @@ class ShardMachine(Machine):
             policy=policy,
             fault_plan=fault_plan,
             recovery=recovery,
+            table=table,
         )
         if set(self._owner) != set(self.graph.cells):
             raise SimulationError(
@@ -497,6 +500,7 @@ class ShardMachine(Machine):
     ]:
         """Execute every event with ``time <= horizon``; return the
         outbox of cross-shard messages plus the new frontier."""
+        handlers = self._HANDLERS
         while self._events and self._events[0][0] <= horizon:
             entry = heapq.heappop(self._events)
             time, _seq, kind, args, aux = entry
@@ -510,12 +514,15 @@ class ShardMachine(Machine):
                     stats=self.stats(),
                     sink_progress=self._sink_progress(),
                 )
-            if kind not in ("watchdog_tick", "checkpoint_tick"):
+            if kind not in _TICKERS:
                 self._live_events -= 1
             self.now = time
             if not aux:
                 self._finish = time
-            self._execute(kind, args)
+            handler = handlers.get(kind)
+            if handler is None:
+                raise SimulationError(f"unknown event kind {kind!r}")
+            handler(self, *args)
         outbox, self._outbox = self._outbox, []
         nt, live, eot = self.frontier()
         return outbox, nt, live, eot
@@ -588,6 +595,16 @@ def _write_shard_snapshot(
             machine, path, reason="coordinated", kind=kind, extra=extra
         )
     return os.path.getsize(path)
+
+
+def _finish_state(machine: ShardMachine) -> dict[str, Any]:
+    """The part of a finished worker's machine shipped to the parent:
+    only the mutable state, since the parent already holds the static
+    graph, config, inputs and cell table.  This bypasses
+    ``__getstate__``, so every attribute that must never cross a pipe
+    (the cell table's lambdas) has to be listed as static."""
+    static = type(machine)._SNAP_STATIC_ATTRS
+    return {k: v for k, v in machine.__dict__.items() if k not in static}
 
 
 def _shard_worker(conn, machine: ShardMachine,
@@ -675,19 +692,14 @@ def _shard_worker(conn, machine: ShardMachine,
                     spec = dict(cmd[1])
                     crash_at = spec.pop("crash_at", None)
                     wid = spec.pop("workload_id", None)
-                    machine = ShardMachine(machine.graph, **spec)
+                    machine = ShardMachine(
+                        machine.graph, table=machine._table, **spec
+                    )
                     machine.workload_id = wid
                     conn.send((seq, "ok", machine.shard_index))
                 elif op == "finish":
-                    # ship only the mutable state (the parent already
-                    # holds the static graph/config/inputs) and keep
-                    # looping: the process may be pooled for reuse
-                    static = type(machine)._SNAP_STATIC_ATTRS
-                    state = {
-                        k: v for k, v in machine.__dict__.items()
-                        if k not in static
-                    }
-                    conn.send((seq, "ok", ("state", state)))
+                    # keep looping: the process may be pooled for reuse
+                    conn.send((seq, "ok", ("state", _finish_state(machine))))
                 elif op == "stop":
                     return
                 else:       # pragma: no cover - protocol bug
@@ -1186,6 +1198,8 @@ class ShardedRunner:
         self._processes = shards > 1 if processes is None else processes
         self._policy = policy
         self._init_execution_knobs(config)
+        # one static cell table serves every shard of this graph
+        table = CellTable(graph)
         self.machines: list[ShardMachine] = [
             ShardMachine(
                 graph,
@@ -1197,6 +1211,7 @@ class ShardedRunner:
                 policy=policy,
                 fault_plan=fault_plan,
                 recovery=recovery,
+                table=table,
             )
             for k in range(shards)
         ]
