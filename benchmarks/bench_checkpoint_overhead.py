@@ -16,18 +16,12 @@ bare run of the same workload checks that outputs and cycle counts are
 bit-identical -- checkpointing is pure observation -- and lands in the
 table for scale.
 
-Two companion sweeps characterize the checkpoint layer itself:
-
-* ``test_interval_size_sweep`` crosses snapshot interval x graph size
-  and reports per-snapshot latency p50/p99 (from the manager's bounded
-  latency samples) plus the resulting overhead ratio, so the default
-  interval can be sanity-checked against both small and large machine
-  states;
-* ``test_envelope_codec_cost`` times encode and (restricted) decode of
-  the same machine state in the legacy v1 envelope and the
-  self-describing v2 envelope -- the security upgrade (metadata
-  section, second checksum, allowlisted unpickling) must not make
-  snapshots meaningfully slower.
+A companion sweep characterizes the checkpoint layer itself:
+``test_interval_size_sweep`` crosses snapshot interval x graph size
+and reports per-snapshot latency p50/p99 (from the manager's bounded
+latency samples) plus the resulting overhead ratio, so the default
+interval can be sanity-checked against both small and large machine
+states.
 """
 
 import statistics
@@ -35,8 +29,8 @@ import time
 
 import pytest
 
+import repro
 from repro.checkpoint import CheckpointConfig
-from repro.machine import run_machine
 from repro.workloads.figures import FIGURES
 
 from _common import bench_once, record_rows
@@ -49,7 +43,8 @@ M = 3_000  # fig7 at this size runs ~16*m cycles: several intervals
 
 def _timed_run(graph, inputs, **kwargs):
     t0 = time.perf_counter()
-    out, stats, _ = run_machine(graph, inputs, **kwargs)
+    res = repro.run(graph, inputs, **kwargs)
+    out, stats = res.outputs, res.stats
     return time.perf_counter() - t0, out, stats
 
 
@@ -169,80 +164,6 @@ def test_interval_size_sweep(benchmark, tmp_path):
     # magnitude than sparse -- that would mean the timer is broken
     for row in rows:
         assert row[6] >= row[5]     # p99 >= p50
-
-
-@pytest.mark.benchmark(group="checkpoint")
-def test_envelope_codec_cost(benchmark, tmp_path):
-    """v1 vs v2 envelope: encode and restricted-decode cost."""
-    from repro.checkpoint.snapshot import (
-        _snapshot_bytes_v1,
-        read_snapshot,
-        snapshot_bytes,
-    )
-    from repro.machine import Machine
-
-    workload = FIGURES["fig7"]
-    repeats = 20
-
-    def measure():
-        rows = []
-        for m in (300, 3_000):
-            cp = workload.compile(m=m)
-            inputs = workload.make_inputs(cp, seed=0)
-            machine = Machine(cp.graph, inputs=inputs)
-            machine.run(stop_at_checkpoint=0)   # a mid-run-shaped state
-            codecs = {"v1": _snapshot_bytes_v1, "v2": snapshot_bytes}
-            enc_t = {label: 0.0 for label in codecs}
-            dec_t = {label: 0.0 for label in codecs}
-            sizes = {}
-            for label, encode in codecs.items():
-                blob = encode(machine)     # warmup + fixture
-                sizes[label] = len(blob)
-                (tmp_path / f"codec-{m}-{label}.snap").write_bytes(blob)
-            # interleave the repeats so CPU-frequency drift on a shared
-            # box biases neither codec
-            for _ in range(repeats):
-                for label, encode in codecs.items():
-                    t0 = time.perf_counter()
-                    encode(machine)
-                    enc_t[label] += time.perf_counter() - t0
-                for label in codecs:
-                    path = tmp_path / f"codec-{m}-{label}.snap"
-                    t0 = time.perf_counter()
-                    read_snapshot(path, allow_legacy=True)
-                    dec_t[label] += time.perf_counter() - t0
-            timings = {
-                label: (enc_t[label] / repeats, dec_t[label] / repeats,
-                        sizes[label])
-                for label in codecs
-            }
-            v1e, v1d, v1b = timings["v1"]
-            v2e, v2d, v2b = timings["v2"]
-            rows.append((
-                "fig7", m, v1b, v2b,
-                round(v1e * 1e3, 3), round(v2e * 1e3, 3),
-                round(v1d * 1e3, 3), round(v2d * 1e3, 3),
-                round(v2e / max(v1e, 1e-12), 3),
-                round(v2d / max(v1d, 1e-12), 3),
-            ))
-        return rows
-
-    rows = bench_once(benchmark, measure, rounds=1)
-    record_rows(
-        "checkpoint_codec_cost",
-        "figure  m  v1_bytes  v2_bytes  v1_enc_ms  v2_enc_ms  "
-        "v1_dec_ms  v2_dec_ms  enc_ratio  dec_ratio",
-        rows,
-        note=f"mean of {repeats} runs; decode goes through the "
-        "restricted unpickler in both formats",
-    )
-    for row in rows:
-        # the v2 envelope adds a JSON metadata section and a second
-        # checksum -- microseconds against a multi-ms pickle; a 3x
-        # regression would flag a codec bug (the bound is loose because
-        # shared-box timing noise at sub-ms scales is real)
-        assert row[8] < 3.0, f"v2 encode {row[8]}x slower than v1"
-        assert row[9] < 3.0, f"v2 decode {row[9]}x slower than v1"
 
 
 @pytest.mark.benchmark(group="checkpoint")

@@ -25,7 +25,7 @@ def _measure(mode: str):
         c for c in cp.graph.cells_by_op(Op.SOURCE) if "values" in c.params
     ]
     res = cp.run(constant_inputs(cp))
-    return cp.cell_count, len(tables), steady_ii(res.run.sink_records["A"].times)
+    return cp.cell_count, len(tables), steady_ii(res.run.sink_times["A"])
 
 
 @pytest.mark.benchmark(group="controls")

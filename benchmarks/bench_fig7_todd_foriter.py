@@ -21,7 +21,7 @@ def test_fig7_todd_rate_is_one_third(benchmark):
     loop = cp.artifacts["X"].graph.meta["loop"]
     assert loop["length"] == 3 and loop["tokens"] == 1
     res = bench_once(benchmark, cp.run, constant_inputs(cp, 0.5))
-    ii = steady_ii(res.run.sink_records["X"].times)
+    ii = steady_ii(res.run.sink_times["X"])
     extra(benchmark, initiation_interval=ii, loop_length=loop["length"])
     assert ii == pytest.approx(3.0, abs=0.05)
 
@@ -55,7 +55,7 @@ def test_fig7_rate_tracks_loop_depth(benchmark):
             loop = cp.artifacts["X"].graph.meta["loop"]
             rows.append(
                 (depth, loop["length"],
-                 steady_ii(res.run.sink_records["X"].times))
+                 steady_ii(res.run.sink_times["X"]))
             )
         return rows
 

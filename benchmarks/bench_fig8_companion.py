@@ -35,7 +35,7 @@ def test_fig8_companion_reaches_maximum_rate(benchmark):
     loop = cp.artifacts["X"].graph.meta["loop"]
     assert loop["length"] == 4 and loop["tokens"] == 2
     res = bench_once(benchmark, cp.run, constant_inputs(cp, 0.5))
-    ii = steady_ii(res.run.sink_records["X"].times)
+    ii = steady_ii(res.run.sink_times["X"])
     extra(benchmark, initiation_interval=ii)
     assert ii == pytest.approx(2.0, abs=0.05)
 
@@ -48,7 +48,7 @@ def test_fig8_headline_speedup(benchmark):
             cp = _compiled(scheme)
             res = cp.run(constant_inputs(cp, 0.5))
             out[scheme] = (
-                steady_ii(res.run.sink_records["X"].times),
+                steady_ii(res.run.sink_times["X"]),
                 res.stats.steps,
             )
         return out
@@ -85,7 +85,7 @@ def test_fig8_even_loop_ablation(benchmark):
     g.splice_fifo(loop_arcs[0], 1, name="odd_pad")
 
     res = bench_once(benchmark, cp.run, constant_inputs(cp, 0.5))
-    ii = steady_ii(res.run.sink_records["X"].times)
+    ii = steady_ii(res.run.sink_times["X"])
     extra(benchmark, odd_loop_ii=ii)
     assert ii == pytest.approx(2.5, abs=0.05)  # rate 2/5
     record_rows(

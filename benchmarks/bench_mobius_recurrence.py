@@ -36,7 +36,7 @@ def _measure(scheme: str):
     cp = compile_program(THOMAS, params={"m": M}, foriter_scheme=scheme)
     res = cp.run({"A": [0.5] * M, "B": [2.0] * M, "C": [0.5] * M})
     return (
-        steady_ii(res.run.sink_records["CP"].times),
+        steady_ii(res.run.sink_times["CP"]),
         res.stats.steps,
         cp.artifacts["CP"].graph.meta.get("loop"),
     )

@@ -23,7 +23,8 @@ import time
 
 import pytest
 
-from repro.machine import Machine, MachineConfig, ShardConfig, run_sharded
+import repro
+from repro.machine import Machine, MachineConfig, ShardConfig
 from repro.workloads import figure_workload, parallel_chain_graph
 
 from _common import bench_once, extra, record_rows
@@ -65,13 +66,14 @@ def _reference(graph, streams):
 
 def _timed_sharded(graph, streams, k):
     start = time.perf_counter()
-    outputs, stats, _ = run_sharded(
-        graph, streams, shards=k,
-        config=MachineConfig.unit_time(), processes=(k > 1),
+    result = repro.run(
+        graph, streams, backend="sharded",
+        config=MachineConfig.unit_time(),
+        shard_config=ShardConfig(shards=k, processes=(k > 1)),
     )
     elapsed = time.perf_counter() - start
-    elements = sum(len(v) for v in outputs.values())
-    return outputs, stats, elements, elapsed
+    elements = sum(len(v) for v in result.outputs.values())
+    return result.outputs, result.stats, elements, elapsed
 
 
 @pytest.mark.benchmark(group="sharded")
@@ -93,14 +95,14 @@ def test_sharded_scaling(benchmark, k):
 
 def _timed_chain(graph, k):
     start = time.perf_counter()
-    outputs, stats, runner = run_sharded(
-        graph, config=MachineConfig.unit_time(),
+    result = repro.run(
+        graph, backend="sharded", config=MachineConfig.unit_time(),
         shard_config=ShardConfig(shards=k, processes=False),
     )
     elapsed = time.perf_counter() - start
-    sinks = {s: runner.sink_arrival_times(s) for s in outputs}
-    elements = sum(len(v) for v in outputs.values())
-    return outputs, sinks, stats, elements, elapsed
+    elements = sum(len(v) for v in result.outputs.values())
+    return (result.outputs, result.sink_times, result.stats, elements,
+            elapsed)
 
 
 @pytest.mark.benchmark(group="sharded")

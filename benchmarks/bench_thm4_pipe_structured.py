@@ -33,7 +33,7 @@ M = 300
 def test_thm4_fig3_fully_pipelined(benchmark):
     cp = compile_program(FIG3_SOURCE, params={"m": M})
     res = bench_once(benchmark, cp.run, constant_inputs(cp))
-    ii = steady_ii(res.run.sink_records["X"].times)
+    ii = steady_ii(res.run.sink_times["X"])
     extra(benchmark, initiation_interval=ii)
     assert ii == pytest.approx(2.0, abs=0.05)
 
@@ -47,7 +47,7 @@ def test_thm4_slowest_block_sets_the_rate(benchmark):
                 FIG3_SOURCE, params={"m": M}, foriter_scheme=scheme
             )
             res = cp.run(constant_inputs(cp))
-            out[scheme] = steady_ii(res.run.sink_records["X"].times)
+            out[scheme] = steady_ii(res.run.sink_times["X"])
         return out
 
     data = bench_once(benchmark, both, rounds=1)
@@ -69,7 +69,7 @@ def test_thm4_slowest_block_sets_the_rate(benchmark):
 def test_thm4_diamond_flow_graph(benchmark):
     cp = compile_program(DIAMOND_PIPE_SOURCE, params={"m": M})
     res = bench_once(benchmark, cp.run, constant_inputs(cp))
-    ii = steady_ii(res.run.sink_records["Z"].times)
+    ii = steady_ii(res.run.sink_times["Z"])
     extra(benchmark, initiation_interval=ii)
     assert ii == pytest.approx(2.0, abs=0.05)
 
@@ -90,7 +90,7 @@ def test_thm4_block_count_sweep(benchmark):
             stream = next(iter(cp.output_specs))
             rows.append(
                 (n_blocks, cp.cell_count,
-                 steady_ii(res.run.sink_records[stream].times))
+                 steady_ii(res.run.sink_times[stream]))
             )
         return rows
 

@@ -14,7 +14,8 @@ in AM instead of streaming it, pushing the fraction far above 1/8.
 
 import pytest
 
-from repro.machine import MachineConfig, run_machine
+import repro
+from repro.machine import MachineConfig
 from repro.workloads import (
     am_backed,
     compile_weather_step,
@@ -75,7 +76,8 @@ def _memory_centric_fraction(cp) -> float:
             src_lo, values = produced[iname]
             start = spec.lo - src_lo
             inputs[iname] = values[start: start + spec.length]
-        outs, stats, _ = run_machine(g, inputs, config=MachineConfig())
+        res = repro.run(g, inputs, config=MachineConfig())
+        outs, stats = res.outputs, res.stats
         produced[name] = (art.out_lo, outs[name])
         op_am += stats.packets.op_am
         op_total += stats.packets.op_total
@@ -90,9 +92,9 @@ def test_traffic_streaming_vs_storing_everything(benchmark):
 
     def measure():
         g1 = am_backed(cp)
-        _, s1, _ = run_machine(
+        s1 = repro.run(
             g1, initial_weather_state(M), config=MachineConfig()
-        )
+        ).stats
         return {
             "streamed (paper)": s1.packets.am_fraction,
             "memory-centric": _memory_centric_fraction(cp),

@@ -79,11 +79,9 @@ from .machine import (
     ShardConfig,
     ShardedRunner,
     TransportConfig,
-    run_machine,
-    run_sharded,
     shutdown_worker_pool,
 )
-from .sim import SyncSimulator, run_graph
+from .sim import SyncSimulator
 from .val import ValArray, parse_program, run_program
 
 __version__ = "1.0.0"
@@ -129,9 +127,6 @@ __all__ = [
     "replay_bundle",
     "resume",
     "run",
-    "run_graph",
-    "run_machine",
     "run_program",
-    "run_sharded",
     "shutdown_worker_pool",
 ]

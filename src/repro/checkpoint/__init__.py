@@ -6,8 +6,7 @@ The four layers (see DESIGN.md section 8):
   atomically-written on-disk snapshot format (v2: self-describing
   JSON metadata over a restricted-unpickler payload; v3: incremental
   deltas chained on a v2 base, verified link by link before any
-  payload is touched; legacy v1 reads behind ``allow_legacy=True``
-  and migrates in place);
+  payload is touched; format v1 is refused);
 * :mod:`repro.checkpoint.manager` -- periodic snapshot scheduling,
   retention, out-of-band live snapshots, failure diagnosis bundles and
   the record manifest;
@@ -21,11 +20,12 @@ The four layers (see DESIGN.md section 8):
 
 Quick use::
 
+    import repro
     from repro.checkpoint import CheckpointConfig
-    from repro.machine import Machine, run_machine
+    from repro.machine import Machine
 
     cfg = CheckpointConfig("ckpts/", interval=10_000, record=True)
-    run_machine(graph, inputs, checkpoint=cfg)       # dies mid-run...
+    repro.run(graph, inputs, checkpoint=cfg)         # dies mid-run...
     m = Machine.resume("ckpts/")                     # ...pick it back up
     m.run()                                          # bit-identical finish
 """
@@ -58,12 +58,10 @@ from .replay import (
 from .snapshot import (
     DELTA_VERSION,
     FORMAT_VERSION,
-    LEGACY_VERSION,
     chain_descendants,
     chain_status,
     latest_snapshot,
     load_machine,
-    migrate_snapshot,
     read_metadata,
     read_snapshot,
     rebase_snapshot,
@@ -93,7 +91,6 @@ __all__ = [
     "EXIT_SNAPSHOT_UNLOADABLE",
     "EventTrace",
     "FORMAT_VERSION",
-    "LEGACY_VERSION",
     "ManifestError",
     "ReplayReport",
     "SnapshotError",
@@ -109,7 +106,6 @@ __all__ = [
     "latest_coordinated",
     "latest_snapshot",
     "load_machine",
-    "migrate_snapshot",
     "outputs_digest",
     "quarantine_coordinated",
     "read_manifest",

@@ -21,7 +21,7 @@ from typing import Any, Union
 from ..errors import SnapshotError
 from .coordinator import _set_chain_broken, read_shard_manifest
 from .replay import MANIFEST_NAME
-from .snapshot import LEGACY_VERSION, chain_status, read_metadata
+from .snapshot import chain_status, read_metadata
 
 __all__ = ["fsck_directory"]
 
@@ -34,10 +34,7 @@ def _file_entry(path: Path) -> dict[str, Any]:
     except SnapshotError as exc:
         entry.update(kind="unknown", status="damaged", error=str(exc))
         return entry
-    if meta.get("format") == LEGACY_VERSION:
-        kind = "legacy"
-    else:
-        kind = meta.get("kind", "full")
+    kind = meta.get("kind", "full")
     entry["kind"] = kind
     if "cycle" in meta:
         entry["cycle"] = meta["cycle"]
@@ -50,7 +47,7 @@ def _file_entry(path: Path) -> dict[str, Any]:
         if status["error"]:
             entry["error"] = status["error"]
     else:
-        # full/legacy/live/failure snapshots are self-contained and the
+        # full/live/failure snapshots are self-contained and the
         # metadata read above already verified both section checksums
         entry["status"] = "intact"
     return entry

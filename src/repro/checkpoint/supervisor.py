@@ -39,7 +39,7 @@ is the outer loop of last resort -- it handles whole-process death,
 which no amount of in-process recovery can.  The escalation policy
 here (restart budget, seeded exponential backoff, two-strike
 step-back past a poisoned resume point) is deliberately mirrored by
-:class:`~repro.machine.ShardRecoveryPolicy` one level down.
+:class:`~repro.machine.RecoveryPolicy` one level down.
 """
 
 from __future__ import annotations

@@ -15,7 +15,6 @@ programs from the shell.
     python -m repro replay ckpts
     python -m repro bisect ckpts --perturb-plan perturb.json
     python -m repro snapshot inspect ckpts/ckpt-000000005000.snap
-    python -m repro snapshot migrate old-ckpts/
     python -m repro supervise fig7 --dir ckpts --interval 5000
 
 ``run`` accepts ``--backend {sync,event,sharded,compiled}``;
@@ -66,7 +65,6 @@ from .checkpoint import (
     fsck_directory,
     is_sharded_dir,
     latest_coordinated,
-    migrate_snapshot,
     read_metadata,
     read_shard_manifest,
     rebase_snapshot,
@@ -87,15 +85,12 @@ from .graph.asm import read_asm, to_asm
 from .graph.dot import to_dot
 from .machine import (
     Machine,
+    RecoveryPolicy,
     ShardConfig,
     ShardCrashError,
     ShardedRunner,
-    ShardRecoveryPolicy,
     TransportConfig,
 )
-from .machine.shard_config import merge_legacy as _merge_shard_legacy
-from .machine.machine import _run_machine
-from .sim.runner import _run_graph
 from .val import parse_program, run_program
 from .val.values import ValArray
 from .workloads.figures import FIGURES, figure_workload
@@ -155,35 +150,6 @@ def _emit_envelope(command: str, ok: bool, result: dict[str, Any]) -> None:
         default=repr,
     )
     sys.stdout.write("\n")
-
-
-def _machine_result(machine: Machine, stats: Any) -> api.RunResult:
-    outputs = machine.outputs()
-    return api.RunResult(
-        backend="event",
-        outputs=outputs,
-        sink_times={
-            s: list(machine.sink_arrival_times(s)) for s in outputs
-        },
-        cycles=stats.cycles,
-        stats=stats,
-        engine=machine,
-    )
-
-
-def _sharded_result(runner: ShardedRunner, stats: Any) -> api.RunResult:
-    outputs = runner.outputs()
-    return api.RunResult(
-        backend="sharded",
-        outputs=outputs,
-        sink_times={
-            s: list(runner.sink_arrival_times(s)) for s in outputs
-        },
-        cycles=stats.cycles,
-        stats=stats,
-        engine=runner,
-        shards=len(runner.machines),
-    )
 
 
 def _compile_opts(args: argparse.Namespace) -> dict[str, Any]:
@@ -249,10 +215,11 @@ def cmd_run(args: argparse.Namespace) -> int:
             )
         return 0
     if args.backend == "sharded":
-        # --shards overrides --shard-config JSON only when given
-        # explicitly (its default 1 would otherwise mask the JSON)
-        raw = getattr(args, "shard_config", None)
-        shards = args.shards if (args.shards != 1 or not raw) else None
+        # an explicit --shards wins over the JSON count; with neither,
+        # `repro run` keeps its historical single shard
+        shards = args.shards
+        if shards is None and not args.shard_config:
+            shards = 1
         result = api.run(
             cp,
             _load_inputs(args.inputs),
@@ -300,7 +267,7 @@ def cmd_simulate(args: argparse.Namespace) -> int:
         # raw machine graphs take plain streams; drop any lower-bound
         # annotation from the JSON form
         streams[name] = list(value[1]) if isinstance(value, tuple) else value
-    res = _run_graph(g, streams)
+    res = api.run(g, streams, backend="sync")
     _emit_outputs(res.outputs)
     return 0
 
@@ -338,23 +305,24 @@ def cmd_faults(args: argparse.Namespace) -> int:
     inputs = workload.make_inputs(program, seed=args.input_seed)
     plan = _build_fault_plan(args)
 
-    clean_out, clean_stats, _ = _run_machine(program.graph, inputs)
+    clean = api.run(program.graph, inputs)
     print(
-        f"# {args.workload}: fault-free run took {clean_stats.cycles} cycles",
+        f"# {args.workload}: fault-free run took {clean.cycles} cycles",
         file=sys.stderr,
     )
     print(f"# plan: {plan.describe()}", file=sys.stderr)
     try:
-        out, stats, _ = _run_machine(
+        faulty = api.run(
             program.graph,
             inputs,
-            fault_plan=plan,
+            faults=plan,
             recovery=not args.no_recovery,
         )
     except DeadlockError as exc:
         print(f"stalled: {exc}", file=sys.stderr)
         return EXIT_RUN_FAILED
-    ok = out == clean_out
+    out, stats = faulty.outputs, faulty.stats
+    ok = out == clean.outputs
     print(f"# faulty run took {stats.cycles} cycles", file=sys.stderr)
     if stats.reliability is not None:
         print(f"# {stats.reliability.summary()}", file=sys.stderr)
@@ -410,7 +378,9 @@ def _finish_run(machine: Machine, max_cycles: int,
         print(f"# {stats.checkpoints.summary()}", file=sys.stderr)
     if command is not None:
         _emit_envelope(
-            command, True, _machine_result(machine, stats).to_json_dict()
+            command, True,
+            api.RunResult.from_engine("event", machine, stats)
+            .to_json_dict(),
         )
     else:
         _emit_outputs(machine.outputs())
@@ -441,19 +411,23 @@ def _finish_sharded(runner: ShardedRunner, max_cycles: int,
         print(f"# {stats.recovery.summary()}", file=sys.stderr)
     if command is not None:
         _emit_envelope(
-            command, True, _sharded_result(runner, stats).to_json_dict()
+            command, True,
+            api.RunResult.from_engine("sharded", runner, stats)
+            .to_json_dict(),
         )
     else:
         _emit_outputs(runner.outputs())
     return 0
 
 
-def _heal_from_args(args: argparse.Namespace):
-    """Resolve the sharded backend's ``heal`` argument from the CLI:
-    ``None`` (auto-enable with processes + checkpoints), ``False``
-    (``--no-self-heal``), or a tuned :class:`ShardRecoveryPolicy`."""
+def _recovery_from_args(
+    args: argparse.Namespace,
+) -> Optional[RecoveryPolicy]:
+    """The recovery policy the heal flags ask for: ``None`` when no
+    flag is given (keep the config's), healing forced off by
+    ``--no-self-heal``, or forced on and tuned by the others."""
     if getattr(args, "no_self_heal", False):
-        return False
+        return RecoveryPolicy(enabled=False)
     tuned = {
         key: value
         for key, value in (
@@ -466,7 +440,7 @@ def _heal_from_args(args: argparse.Namespace):
         tuned["degrade"] = True
     if not tuned:
         return None
-    return ShardRecoveryPolicy(**tuned)
+    return RecoveryPolicy(enabled=True, **tuned)
 
 
 def _shard_config_from_args(
@@ -494,11 +468,11 @@ def _shard_config_from_args(
         updates["transport"] = dataclasses.replace(
             sc.transport, kind=args.transport
         )
+    recovery = _recovery_from_args(args)
+    if recovery is not None:
+        updates["recovery"] = recovery
     if updates:
         sc = dataclasses.replace(sc, **updates)
-    heal = _heal_from_args(args)
-    if heal is not None:
-        sc = _merge_shard_legacy(sc, heal=heal)
     return sc.validate()
 
 
@@ -539,12 +513,10 @@ def cmd_checkpoint(args: argparse.Namespace) -> int:
     command = "checkpoint" if args.json else None
     if args.backend == "sharded":
         plan = _keyed(plan)
-        raw = getattr(args, "shard_config", None)
-        shards = args.shards if (args.shards != 2 or not raw) else None
         runner = ShardedRunner(
             program.graph, inputs, fault_plan=plan,
             checkpoint=cfg, workload_id=workload_id,
-            shard_config=_shard_config_from_args(args, shards=shards),
+            shard_config=_shard_config_from_args(args, shards=args.shards),
         )
         if plan is not None:
             print(f"# plan: {plan.describe()}", file=sys.stderr)
@@ -580,8 +552,7 @@ def cmd_resume(args: argparse.Namespace) -> int:
     if target.is_dir() and is_sharded_dir(target):
         try:
             runner = ShardedRunner.resume(
-                target, allow_legacy=args.allow_v1,
-                shard_config=_shard_config_from_args(args),
+                target, shard_config=_shard_config_from_args(args),
             )
         except SnapshotError as exc:
             print(f"error: {exc}", file=sys.stderr)
@@ -605,7 +576,7 @@ def cmd_resume(args: argparse.Namespace) -> int:
         )
         return 1
     try:
-        machine = Machine.resume(args.snapshot, allow_legacy=args.allow_v1)
+        machine = Machine.resume(args.snapshot)
     except SnapshotError as exc:
         # dedicated exit code: only a snapshot that cannot even be
         # loaded may be quarantined by the supervisor; errors after a
@@ -636,12 +607,6 @@ def cmd_snapshot_inspect(args: argparse.Namespace) -> int:
             meta["chain_error"] = status["error"]
     json.dump(meta, sys.stdout, indent=2, sort_keys=True)
     sys.stdout.write("\n")
-    if meta.get("format") == 1:
-        print(
-            f"# legacy v1 snapshot; migrate with: "
-            f"python -m repro snapshot migrate {args.file}",
-            file=sys.stderr,
-        )
     if meta.get("kind") == "delta":
         status = meta["chain_status"]
         note = (
@@ -688,31 +653,6 @@ def _coordinated_status(path: Path) -> str:
                 return "complete"
             return "incomplete"
     return "partial"
-
-
-def cmd_snapshot_migrate(args: argparse.Namespace) -> int:
-    path = Path(args.target)
-    files = sorted(path.glob("*.snap")) if path.is_dir() else [path]
-    if not files:
-        print(f"error: no *.snap files in {path}", file=sys.stderr)
-        return 1
-    migrated = failed = 0
-    for snap in files:
-        try:
-            outcome = migrate_snapshot(snap)
-        except SnapshotError as exc:
-            # one corrupt file must not strand the rest of the batch
-            print(f"{snap}: error: {exc}", file=sys.stderr)
-            failed += 1
-            continue
-        print(f"{snap}: {outcome}", file=sys.stderr)
-        migrated += outcome == "migrated"
-    print(
-        f"# migrated {migrated} of {len(files)} snapshot(s)"
-        + (f", {failed} failed" if failed else ""),
-        file=sys.stderr,
-    )
-    return 1 if failed else 0
 
 
 def cmd_snapshot_fsck(args: argparse.Namespace) -> int:
@@ -1108,8 +1048,9 @@ def build_parser() -> argparse.ArgumentParser:
                    "shards in separate processes, or the compiled "
                    "steady-state machine (bit-identical to event, "
                    "fast-forwards periodic steady state)")
-    p.add_argument("--shards", type=int, default=1, metavar="K",
-                   help="worker count for --backend sharded")
+    p.add_argument("--shards", type=int, default=None, metavar="K",
+                   help="worker count for --backend sharded (default 1, "
+                   "or the --shard-config count)")
     shard_tuning_args(p)
     p.add_argument("--json", action="store_true",
                    help="print the stable JSON result envelope to "
@@ -1214,8 +1155,9 @@ def build_parser() -> argparse.ArgumentParser:
                    choices=["event", "sharded"],
                    help="single event-driven machine (default) or K "
                    "shards with coordinated Chandy-Lamport snapshots")
-    p.add_argument("--shards", type=int, default=2, metavar="K",
-                   help="worker count for --backend sharded (default 2)")
+    p.add_argument("--shards", type=int, default=None, metavar="K",
+                   help="worker count for --backend sharded (default 2, "
+                   "or the --shard-config count)")
     p.add_argument("--max-cycles", type=int, default=50_000_000)
     p.add_argument("--crash-at", type=int, default=None, metavar="CYCLE",
                    help="hard-kill the process (exit 137, as SIGKILL "
@@ -1239,10 +1181,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("snapshot", help="snapshot file or checkpoint directory "
                    "(single-machine or sharded; auto-detected)")
     p.add_argument("--max-cycles", type=int, default=50_000_000)
-    p.add_argument("--allow-v1", action="store_true",
-                   help="opt in to loading legacy format-v1 snapshots "
-                   "(unrestricted-pickle era files; prefer "
-                   "`repro snapshot migrate`)")
     p.add_argument("--crash-at", type=int, default=None, metavar="CYCLE",
                    help="hard-kill the process (exit 137) once simulated "
                    "time reaches CYCLE; used to exercise crash recovery")
@@ -1258,7 +1196,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser(
         "snapshot",
-        help="inspect or migrate snapshot files without running anything",
+        help="inspect, check or rebase snapshot files without running "
+        "anything",
     )
     snap_sub = p.add_subparsers(dest="snapshot_command", required=True)
     sp = snap_sub.add_parser(
@@ -1269,13 +1208,6 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sp.add_argument("file", help="snapshot file")
     sp.set_defaults(fn=cmd_snapshot_inspect)
-    sp = snap_sub.add_parser(
-        "migrate",
-        help="rewrite legacy v1 snapshots to format v2 in place "
-        "(checksum-verified on both sides)",
-    )
-    sp.add_argument("target", help="snapshot file or directory of *.snap")
-    sp.set_defaults(fn=cmd_snapshot_migrate)
     sp = snap_sub.add_parser(
         "fsck",
         help="walk every snapshot chain (and coordinated set) in a "

@@ -125,12 +125,10 @@ def _serialize(
         return Wire(
             g.add_pattern_source(f"{name}_init", [v for v in items]), ROOT
         )
-    def endpoint(it: Any) -> Wire:
-        if isinstance(it, Wire):
-            return it
-        return Wire(g.add_pattern_source(f"{name}_c{id(it)%997}", [it]), ROOT)
-
-    acc = endpoint(items[0])
+    acc = items[0]
+    if not isinstance(acc, Wire):
+        # named by position, so recompiling gives an identical graph
+        acc = Wire(g.add_pattern_source(f"{name}_c0", [acc]), ROOT)
     for k in range(1, len(items)):
         merge = g.add_merge(name=f"{name}_ser{k}")
         ctl = g.add_pattern_source(

@@ -17,12 +17,11 @@ mapping (Sections 5-7) -> link the flow dependency graph (Section 8)
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Mapping, Optional, Union
+from typing import TYPE_CHECKING, Any, Mapping, Optional, Union
 
 from ..errors import CompileError
 from ..graph.graph import DataflowGraph
 from ..graph.validate import validate
-from ..sim.runner import RunResult, _run_graph
 from ..val.ast_nodes import Program
 from ..val.parser import parse_program
 from ..val.typecheck import check_program
@@ -31,6 +30,9 @@ from .balance import BalanceResult, balance_graph
 from .expr import ArraySpec
 from .forall import BlockArtifact
 from .link import LinkedProgram, link_program
+
+if TYPE_CHECKING:
+    from ..api import RunResult
 
 
 @dataclass
@@ -108,8 +110,9 @@ class CompiledProgram:
         max_steps: int = 10_000_000,
     ) -> ProgramResult:
         """Simulate on the unit-delay machine and collect the outputs."""
-        streams = self.prepare_inputs(inputs or {})
-        rr = _run_graph(self.graph, streams, max_steps=max_steps)
+        from ..api import run
+
+        rr = run(self, inputs or {}, backend="sync", max_cycles=max_steps)
         outputs = {}
         for name, (lo, _hi) in self.output_specs.items():
             outputs[name] = ValArray(lo, tuple(rr.outputs[name]))

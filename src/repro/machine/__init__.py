@@ -20,7 +20,7 @@ from .diagnose import (
     StarvedCell,
     diagnose,
 )
-from .machine import Machine, run_machine
+from .machine import Machine
 from .shard_config import (
     RecoveryPolicy,
     ShardConfig,
@@ -32,9 +32,7 @@ from .sharded import (
     ShardHangError,
     ShardMachine,
     ShardRecoveryExhausted,
-    ShardRecoveryPolicy,
     merge_shard_stats,
-    run_sharded,
     shutdown_worker_pool,
 )
 from .packets import (
@@ -73,7 +71,6 @@ __all__ = [
     "ShardCrashError",
     "ShardHangError",
     "ShardRecoveryExhausted",
-    "ShardRecoveryPolicy",
     "ShardMachine",
     "ShardedRunner",
     "StarvedCell",
@@ -85,7 +82,5 @@ __all__ = [
     "diagnose",
     "make_assignment",
     "merge_shard_stats",
-    "run_machine",
-    "run_sharded",
     "shutdown_worker_pool",
 ]

@@ -73,7 +73,6 @@ from __future__ import annotations
 
 import heapq
 import os
-import warnings
 from dataclasses import dataclass, field
 from typing import Any, Optional, Union
 
@@ -1241,7 +1240,7 @@ class Machine:
         return diagnose(self)
 
     @classmethod
-    def resume(cls, source, allow_legacy: bool = False) -> "Machine":
+    def resume(cls, source) -> "Machine":
         """Load a machine from a snapshot file (or the newest *good*
         snapshot in a checkpoint directory) and return it ready to
         continue.
@@ -1249,9 +1248,7 @@ class Machine:
         Resuming from a directory picks the newest periodic (or
         initial/live/timeout) snapshot; ``failure-*.snap`` files pin
         an already-wedged machine and are only loaded when named
-        explicitly.  Legacy v1 snapshot files are refused unless
-        ``allow_legacy=True`` (see
-        :func:`repro.checkpoint.snapshot.read_snapshot`).
+        explicitly.
 
         The loaded machine carries its complete mid-run state -- event
         heap, in-flight and retransmission-queue packets, sequence
@@ -1261,8 +1258,7 @@ class Machine:
         """
         from ..checkpoint.snapshot import load_machine
 
-        return load_machine(source, expected_cls=cls,
-                            allow_legacy=allow_legacy)
+        return load_machine(source, expected_cls=cls)
 
     # ------------------------------------------------------------------
     # results
@@ -1315,64 +1311,3 @@ def _handler_table(cls: type) -> dict[str, Any]:
 
 
 Machine._HANDLERS = _handler_table(Machine)
-
-
-def _run_machine(
-    graph: DataflowGraph,
-    inputs: Optional[dict[str, list[Any]]] = None,
-    config: Optional[MachineConfig] = None,
-    policy: str = "round_robin",
-    max_cycles: int = 50_000_000,
-    fault_plan: Optional[FaultPlan] = None,
-    recovery: bool = True,
-    reliable: Optional[bool] = None,
-    checkpoint: Optional[Union[CheckpointConfig, CheckpointManager]] = None,
-    trace: bool = False,
-) -> tuple[dict[str, list[Any]], MachineStats, Machine]:
-    """Build, run, and collect outputs + stats."""
-    machine = Machine(
-        graph,
-        config=config,
-        inputs=inputs,
-        policy=policy,
-        fault_plan=fault_plan,
-        recovery=recovery,
-        reliable=reliable,
-        checkpoint=checkpoint,
-        trace=trace,
-    )
-    stats = machine.run(max_cycles=max_cycles)
-    return machine.outputs(), stats, machine
-
-
-def run_machine(
-    graph: DataflowGraph,
-    inputs: Optional[dict[str, list[Any]]] = None,
-    config: Optional[MachineConfig] = None,
-    policy: str = "round_robin",
-    max_cycles: int = 50_000_000,
-    fault_plan: Optional[FaultPlan] = None,
-    recovery: bool = True,
-    reliable: Optional[bool] = None,
-    checkpoint: Optional[Union[CheckpointConfig, CheckpointManager]] = None,
-    trace: bool = False,
-) -> tuple[dict[str, list[Any]], MachineStats, Machine]:
-    """Deprecated: use ``repro.run(graph, inputs, backend="event")``."""
-    warnings.warn(
-        "run_machine() is deprecated; use "
-        "repro.run(..., backend='event')",
-        DeprecationWarning,
-        stacklevel=2,
-    )
-    return _run_machine(
-        graph,
-        inputs,
-        config=config,
-        policy=policy,
-        max_cycles=max_cycles,
-        fault_plan=fault_plan,
-        recovery=recovery,
-        reliable=reliable,
-        checkpoint=checkpoint,
-        trace=trace,
-    )

@@ -1,22 +1,15 @@
-"""Validated configuration objects for the sharded backend.
+"""Validated configuration for the sharded backend.
 
-The sharded runner grew a sprawl of keyword arguments (``shards``,
-``partition``, ``processes``, ``heal``, ``--heal-deadline``,
-``--crash-shard``, ...) spread across the facade, the CLI and
-:class:`~repro.machine.sharded.ShardedRunner`.  This module
-consolidates them into one validated :class:`ShardConfig` dataclass
-with two nested policies:
+:class:`ShardConfig` is the one way to configure a sharded run, on
+``repro.run(..., shard_config=)``, ``repro.resume``,
+:class:`~repro.machine.sharded.ShardedRunner` and the CLI's
+``--shard-config`` JSON (:meth:`ShardConfig.from_json`).  It nests two
+policies:
 
-* :class:`RecoveryPolicy` -- the self-healing knobs (a subclass of
-  the runner's :class:`ShardRecoveryPolicy` plus an ``enabled``
-  tri-state so "auto / force on / force off" fits in one object);
+* :class:`RecoveryPolicy` -- the self-healing knobs plus an
+  ``enabled`` tri-state ("auto / force on / force off");
 * :class:`TransportConfig` -- how cut packets travel between the
   coordinator and the workers (shared-memory rings vs. pipes).
-
-The legacy kwargs keep working (the facade maps them onto a
-``ShardConfig`` and emits :class:`DeprecationWarning`), so existing
-call sites migrate at their own pace.  ``ShardConfig.from_json``
-accepts the CLI's ``--shard-config`` JSON document.
 """
 
 from __future__ import annotations
@@ -24,7 +17,7 @@ from __future__ import annotations
 import json
 import random
 import time
-from dataclasses import asdict, dataclass, field, fields, replace
+from dataclasses import asdict, dataclass, field, fields
 from typing import Any, Callable, Optional, Union
 
 from ..errors import SimulationError
@@ -32,13 +25,12 @@ from ..errors import SimulationError
 __all__ = [
     "RecoveryPolicy",
     "ShardConfig",
-    "ShardRecoveryPolicy",
     "TransportConfig",
 ]
 
 
 @dataclass
-class ShardRecoveryPolicy:
+class RecoveryPolicy:
     """Knobs of the in-process self-healing loop.
 
     Mirrors the supervisor's escalation policy one level down: per
@@ -46,6 +38,10 @@ class ShardRecoveryPolicy:
     two-strike same-window step-back -- but rollback happens inside
     the running coordinator, from the latest complete coordinated set,
     without tearing the process tree down.
+
+    ``enabled=None`` keeps the runner's auto rule (heal whenever there
+    are worker processes *and* coordinated checkpoints); ``True`` and
+    ``False`` force it either way.
     """
 
     #: seconds a worker may take to answer one command before it
@@ -68,6 +64,8 @@ class ShardRecoveryPolicy:
     degrade: bool = False
     #: injectable for tests; the backoff delays go through this
     sleep: Callable[[float], None] = time.sleep
+    #: None = auto, True/False = force healing on/off
+    enabled: Optional[bool] = None
 
     def backoff(self, attempt: int, rng: random.Random) -> float:
         """Delay before restart ``attempt`` (1-based), jittered."""
@@ -78,20 +76,6 @@ class ShardRecoveryPolicy:
         if self.jitter:
             delay *= 1.0 + rng.uniform(-self.jitter, self.jitter)
         return max(0.0, delay)
-
-
-@dataclass
-class RecoveryPolicy(ShardRecoveryPolicy):
-    """:class:`ShardRecoveryPolicy` plus an ``enabled`` tri-state.
-
-    ``enabled=None`` keeps the runner's auto rule (heal whenever there
-    are worker processes *and* coordinated checkpoints); ``True`` and
-    ``False`` force it either way.  This lets one nested object inside
-    :class:`ShardConfig` express everything the legacy ``heal=``
-    kwarg could.
-    """
-
-    enabled: Optional[bool] = None
 
     def validate(self) -> None:
         if self.deadline <= 0:
@@ -155,9 +139,8 @@ _PARTITION_SCHEMES = ("auto", "levels", "round_robin")
 class ShardConfig:
     """Everything the sharded backend needs, in one validated object.
 
-    Replaces the legacy kwarg sprawl on ``repro.run`` /
-    ``repro.resume`` / the CLI.  Construct directly, from a dict, or
-    from the CLI's ``--shard-config`` JSON via :meth:`from_json`.
+    Construct directly, from a dict, or from the CLI's
+    ``--shard-config`` JSON via :meth:`from_json`.
     """
 
     #: number of shards (K)
@@ -219,19 +202,6 @@ class ShardConfig:
         if self.recovery is not None:
             self.recovery.validate()
         return self
-
-    # ------------------------------------------------------------------
-    def heal_value(self) -> Union[None, bool, ShardRecoveryPolicy]:
-        """Map the nested recovery policy onto the runner's ``heal``
-        tri-state: None = auto, False = off, policy object = tuned."""
-        rec = self.recovery
-        if rec is None:
-            return None
-        if rec.enabled is False:
-            return False
-        if rec.enabled is None and rec == RecoveryPolicy():
-            return None
-        return rec
 
     # ------------------------------------------------------------------
     def to_dict(self) -> dict[str, Any]:
@@ -303,19 +273,13 @@ class ShardConfig:
 
 
 def _coerce_recovery(
-    value: Union[None, bool, dict, RecoveryPolicy, ShardRecoveryPolicy],
+    value: Union[None, bool, dict, RecoveryPolicy],
 ) -> Optional[RecoveryPolicy]:
-    """Normalize the many ways callers spell a recovery policy."""
+    """Normalize the JSON spellings of a recovery policy."""
     if value is None:
         return None
     if isinstance(value, RecoveryPolicy):
         return value
-    if isinstance(value, ShardRecoveryPolicy):
-        base = {
-            f.name: getattr(value, f.name)
-            for f in fields(ShardRecoveryPolicy)
-        }
-        return RecoveryPolicy(**base, enabled=True)
     if isinstance(value, bool):
         return RecoveryPolicy(enabled=value)
     if isinstance(value, dict):
@@ -330,41 +294,3 @@ def _coerce_recovery(
         "recovery must be a RecoveryPolicy, bool, dict or None, "
         f"got {type(value).__name__}"
     )
-
-
-_SENTINEL = object()
-
-
-def merge_legacy(
-    sc: Optional[ShardConfig],
-    *,
-    shards: Any = _SENTINEL,
-    partition: Any = _SENTINEL,
-    processes: Any = _SENTINEL,
-    heal: Any = _SENTINEL,
-    crash_at: Any = _SENTINEL,
-    crash_shard: Any = _SENTINEL,
-) -> ShardConfig:
-    """Overlay explicitly-passed legacy kwargs onto a ShardConfig.
-
-    Pass only the kwargs the caller actually set (the facade compares
-    against its real defaults); everything else keeps the config's
-    value.  Returns a new validated ShardConfig.
-    """
-    sc = sc if sc is not None else ShardConfig()
-    updates: dict[str, Any] = {}
-    if shards is not _SENTINEL:
-        updates["shards"] = shards
-    if partition is not _SENTINEL:
-        updates["partition"] = partition
-    if processes is not _SENTINEL:
-        updates["processes"] = processes
-    if heal is not _SENTINEL:
-        updates["recovery"] = _coerce_recovery(heal)
-    if crash_at is not _SENTINEL:
-        updates["crash_at"] = crash_at
-    if crash_shard is not _SENTINEL:
-        updates["crash_shard"] = crash_shard
-    if updates:
-        sc = replace(sc, **updates)
-    return sc.validate()

@@ -96,7 +96,7 @@ latest complete coordinated set (survivors reload in place over the
 cut is re-injected, and the lockstep windows replay forward --
 bit-identically, because windows are a pure function of shard state
 plus injected messages.  Escalation mirrors the supervisor one level
-down (:class:`ShardRecoveryPolicy`): per-shard restart budgets with
+down (:class:`RecoveryPolicy`): per-shard restart budgets with
 exponential seeded backoff, two-strike same-window step-back, and on
 budget exhaustion a typed :class:`ShardRecoveryExhausted` (exit 137
 at the CLI) so ``repro supervise`` stays the outer loop of last
@@ -139,12 +139,7 @@ from ..graph.table import CellTable
 from .config import MachineConfig
 from .machine import _TICKERS, Machine, _CellState
 from .packets import PacketCounters
-from .shard_config import (
-    RecoveryPolicy,
-    ShardConfig,
-    ShardRecoveryPolicy,
-    TransportConfig,
-)
+from .shard_config import RecoveryPolicy, ShardConfig, TransportConfig
 from .shard_transport import (
     create_ring,
     decode_slot,
@@ -161,11 +156,9 @@ __all__ = [
     "ShardHangError",
     "ShardMachine",
     "ShardRecoveryExhausted",
-    "ShardRecoveryPolicy",
     "ShardedRunner",
     "TransportConfig",
     "merge_shard_stats",
-    "run_sharded",
     "shutdown_worker_pool",
 ]
 
@@ -1150,43 +1143,23 @@ class ShardedRunner:
         graph: DataflowGraph,
         inputs: Optional[dict[str, list[Any]]] = None,
         *,
-        shards: int = 2,
         config: Optional[MachineConfig] = None,
         policy: str = "round_robin",
         fault_plan: Optional[FaultPlan] = None,
         recovery: bool = True,
         checkpoint: Optional[CheckpointConfig] = None,
-        partition: Union[str, Partition] = "auto",
-        processes: Optional[bool] = None,
         workload_id: Optional[str] = None,
-        heal: Union[None, bool, ShardRecoveryPolicy] = None,
         shard_config: Union[None, ShardConfig, dict, str] = None,
     ) -> None:
-        sc = ShardConfig.coerce(shard_config)
-        if sc is not None:
-            # the consolidated config is authoritative; legacy kwargs
-            # explicitly passed alongside still win (the facade merges
-            # them into the config before it gets here)
-            shards = sc.shards
-            if not isinstance(partition, Partition):
-                partition = sc.partition
-            processes = sc.processes
-            if heal is None:
-                heal = sc.heal_value()
-        else:
-            sc = ShardConfig(shards=max(1, shards))
+        sc = ShardConfig.coerce(shard_config) or ShardConfig()
         self._shard_cfg = sc
-        if shards < 1:
-            raise SimulationError(f"shard count must be >= 1, got {shards}")
+        shards = sc.shards
         config = config or MachineConfig()
         if graph.cells_by_op(Op.FIFO):
             # shards replicate the graph, so lower *once* here to keep
             # cell/arc ids identical everywhere
             graph = lower_fifos(graph)
-        if isinstance(partition, Partition):
-            part = partition
-        else:
-            part = partition_graph(graph, shards, partition)
+        part = partition_graph(graph, shards, sc.partition)
         # each shard runs headless: the coordinator owns global
         # progress (a per-shard watchdog would mistake "waiting for a
         # cross-shard token" for a stall)
@@ -1195,7 +1168,7 @@ class ShardedRunner:
         self.shards = shards
         self.workload_id = workload_id
         self._lookahead = max(1, config.rn_delay)
-        self._processes = shards > 1 if processes is None else processes
+        self._processes = shards > 1 if sc.processes is None else sc.processes
         self._policy = policy
         self._init_execution_knobs(config)
         # one static cell table serves every shard of this graph
@@ -1228,7 +1201,7 @@ class ShardedRunner:
             self._next_ckpt = checkpoint.interval or None
         self.worker_pids: list[Optional[int]] = []
         self._finished = False
-        self._init_heal(heal, fault_plan)
+        self._init_heal(fault_plan)
 
     @staticmethod
     def _order_free(config: MachineConfig) -> bool:
@@ -1289,35 +1262,29 @@ class ShardedRunner:
         else:
             self._transport = "pipe"
 
-    def _init_heal(
-        self,
-        heal: Union[None, bool, ShardRecoveryPolicy],
-        fault_plan: Optional[FaultPlan],
-    ) -> None:
+    def _init_heal(self, fault_plan: Optional[FaultPlan]) -> None:
         """Resolve the self-healing policy and arm the chaos faults.
 
-        ``heal=None`` auto-enables healing whenever the run has both
-        real worker processes (something to respawn) and coordinated
+        ``ShardConfig.recovery`` decides: ``enabled=None`` (or no
+        policy) auto-enables healing whenever the run has both real
+        worker processes (something to respawn) and coordinated
         checkpoints (something to roll back to); ``True``/``False``
-        force it; a :class:`ShardRecoveryPolicy` tunes it.  Healing
-        without checkpoints is legal when forced -- recovery then
-        restarts every shard from the initial machines, which the
-        fork-based workers leave unmutated in this process.
+        force it.  Healing without checkpoints is legal when forced --
+        recovery then restarts every shard from the initial machines,
+        which the fork-based workers leave unmutated in this process.
         """
-        if heal is None:
-            heal = self._processes and self._ckpt is not None
-        if heal is True:
-            heal = ShardRecoveryPolicy()
-        elif heal is False:
-            heal = None
-        if heal is not None and not self._processes:
+        heal = self._shard_cfg.recovery or RecoveryPolicy()
+        enabled = heal.enabled
+        if enabled is None:
+            enabled = self._processes and self._ckpt is not None
+        if enabled and not self._processes:
             raise SimulationError(
                 "self-healing needs real worker processes "
                 "(processes=True): an in-process shard cannot be "
                 "respawned"
             )
-        self._heal: Optional[ShardRecoveryPolicy] = heal
-        self._heal_rng = random.Random(heal.seed if heal else 0)
+        self._heal: Optional[RecoveryPolicy] = heal if enabled else None
+        self._heal_rng = random.Random(self._heal.seed if self._heal else 0)
         self._recovery: Optional[RecoveryStats] = None
         #: per-shard respawn count (the restart budget's ledger)
         self._restarts: dict[int, int] = {}
@@ -1373,9 +1340,6 @@ class ShardedRunner:
         cls,
         directory,
         *,
-        processes: Optional[bool] = None,
-        allow_legacy: bool = False,
-        heal: Union[None, bool, ShardRecoveryPolicy] = None,
         shard_config: Union[None, ShardConfig, dict, str] = None,
     ) -> "ShardedRunner":
         """Load the newest *complete* coordinated snapshot set and
@@ -1401,7 +1365,6 @@ class ShardedRunner:
             machine, extra = load_machine(
                 directory / fname,
                 expected_cls=ShardMachine,
-                allow_legacy=allow_legacy,
                 with_extra=True,
             )
             extra = extra or {}
@@ -1411,16 +1374,8 @@ class ShardedRunner:
             machines.append(machine)
         shards = len(machines)
         self = cls.__new__(cls)
-        sc = ShardConfig.coerce(shard_config)
-        if sc is not None:
-            if sc.processes is not None:
-                processes = sc.processes
-            if heal is None:
-                heal = sc.heal_value()
-            sc = replace(sc, shards=shards)
-        else:
-            sc = ShardConfig(shards=shards)
-        self._shard_cfg = sc
+        sc = ShardConfig.coerce(shard_config) or ShardConfig()
+        self._shard_cfg = sc = replace(sc, shards=shards)
         self.partition = Partition(
             k=shards,
             scheme=str(manifest.get("partition_scheme", "resumed")),
@@ -1430,7 +1385,7 @@ class ShardedRunner:
         self.shards = shards
         self.workload_id = machines[0].workload_id
         self._lookahead = max(1, machines[0].config.rn_delay)
-        self._processes = shards > 1 if processes is None else processes
+        self._processes = shards > 1 if sc.processes is None else sc.processes
         self._policy = "round_robin"
         self._init_execution_knobs(machines[0].config)
         self.machines = machines
@@ -1441,7 +1396,7 @@ class ShardedRunner:
         )
         self.worker_pids = []
         self._finished = False
-        self._init_heal(heal, machines[0].fault_plan)
+        self._init_heal(machines[0].fault_plan)
         return self
 
     # ------------------------------------------------------------------
@@ -1726,7 +1681,7 @@ class ShardedRunner:
     # in-process self-healing
     # ------------------------------------------------------------------
     def _recover(self, eps, exc: ShardCrashError,
-                 policy: ShardRecoveryPolicy):
+                 policy: RecoveryPolicy):
         """Roll every shard back to the latest usable coordinated set,
         respawn the failed worker, and hand fresh endpoints back to
         :meth:`run` for replay.
@@ -1788,7 +1743,7 @@ class ShardedRunner:
         return new_eps
 
     def _charge_restart(self, shard: int, cycle: int,
-                        policy: ShardRecoveryPolicy,
+                        policy: RecoveryPolicy,
                         exc: ShardCrashError) -> None:
         self._restarts[shard] = self._restarts.get(shard, 0) + 1
         if self._restarts[shard] <= policy.max_restarts:
@@ -1982,38 +1937,3 @@ def merge_shard_stats(
         checkpoints=checkpoints,
         recovery=recovery,
     )
-
-
-def run_sharded(
-    graph: DataflowGraph,
-    inputs: Optional[dict[str, list[Any]]] = None,
-    *,
-    shards: int = 2,
-    config: Optional[MachineConfig] = None,
-    max_cycles: int = 50_000_000,
-    fault_plan: Optional[FaultPlan] = None,
-    recovery: bool = True,
-    checkpoint: Optional[CheckpointConfig] = None,
-    partition: Union[str, Partition] = "auto",
-    processes: Optional[bool] = None,
-    workload_id: Optional[str] = None,
-    heal: Union[None, bool, ShardRecoveryPolicy] = None,
-    shard_config: Union[None, ShardConfig, dict, str] = None,
-) -> tuple[dict[str, list[Any]], MachineStats, ShardedRunner]:
-    """Convenience wrapper mirroring ``run_machine`` for sharded runs."""
-    runner = ShardedRunner(
-        graph,
-        inputs,
-        shards=shards,
-        config=config,
-        fault_plan=fault_plan,
-        recovery=recovery,
-        checkpoint=checkpoint,
-        partition=partition,
-        processes=processes,
-        workload_id=workload_id,
-        heal=heal,
-        shard_config=shard_config,
-    )
-    stats = runner.run(max_cycles=max_cycles)
-    return runner.outputs(), stats, runner

@@ -2,14 +2,13 @@
 
 * :mod:`repro.sim.sync` -- the unit-delay ("instruction time")
   simulator whose timing the paper's rate arguments assume;
-* :mod:`repro.sim.runner` -- run-to-completion convenience wrapper;
 * :mod:`repro.sim.trace` -- trace/utilization reporting.
 
-The event-driven machine-level model (processing elements, function
+Runs go through :func:`repro.run` (``backend="sync"``).  The
+event-driven machine-level model (processing elements, function
 units, array memories, routing networks) lives in :mod:`repro.machine`.
 """
 
-from .runner import RunResult, measure_initiation_interval, run_graph
 from .sync import SimStats, SinkRecord, SyncSimulator
 from .trace import (
     count_stage_depth,
@@ -19,14 +18,11 @@ from .trace import (
 )
 
 __all__ = [
-    "RunResult",
     "SimStats",
     "SinkRecord",
     "SyncSimulator",
     "count_stage_depth",
     "format_trace",
-    "measure_initiation_interval",
     "occupancy_snapshot",
-    "run_graph",
     "utilization_report",
 ]

@@ -4,10 +4,11 @@ from fractions import Fraction
 
 import pytest
 
+import repro
 from repro.analysis import analyze_rate, initiation_interval_bound, is_fully_pipelined
 from repro.errors import AnalysisError
 from repro.graph import DataflowGraph, Op
-from repro.sim import SyncSimulator, run_graph
+from repro.sim import SyncSimulator
 
 
 def ring(n_cells: int, n_tokens: int) -> tuple[DataflowGraph, list[int]]:
@@ -126,7 +127,7 @@ class TestAnalysisMatchesSimulation:
     def test_chain(self):
         g = chain(4)
         ii_bound = float(initiation_interval_bound(g))
-        res = run_graph(g, {"x": list(range(40))})
+        res = repro.run(g, {"x": list(range(40))}, backend="sync")
         assert res.initiation_interval() == pytest.approx(ii_bound, abs=0.05)
 
     def test_fig2_pipeline(self):
@@ -147,5 +148,5 @@ class TestAnalysisMatchesSimulation:
         g.connect(c4, sink, 0)
         assert is_fully_pipelined(g)
         n = 40
-        res = run_graph(g, {"a": [1.0] * n, "b": [1.0] * n})
+        res = repro.run(g, {"a": [1.0] * n, "b": [1.0] * n}, backend="sync")
         assert res.initiation_interval() == pytest.approx(2.0)

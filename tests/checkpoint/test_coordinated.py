@@ -27,8 +27,8 @@ from repro.machine import (
     Machine,
     MachineConfig,
     ShardCrashError,
+    ShardConfig,
     ShardedRunner,
-    run_sharded,
 )
 from repro.workloads import figure_workload
 
@@ -55,8 +55,8 @@ def _checkpointed_run(tmp_path, *, crash_at=None, crash_shard=0,
         tmp_path / "snaps", interval=INTERVAL, retain=retain
     )
     runner = ShardedRunner(
-        graph, streams, shards=shards,
-        config=MachineConfig.unit_time(), checkpoint=cfg,
+        graph, streams, config=MachineConfig.unit_time(), checkpoint=cfg,
+        shard_config=ShardConfig(shards=shards),
     )
     if crash_at is None:
         runner.run()

@@ -13,6 +13,7 @@ import hashlib
 import json
 import pickle
 import random
+import struct
 
 import pytest
 
@@ -26,16 +27,18 @@ from repro.checkpoint import (
 )
 from repro.checkpoint.snapshot import (
     _HEADER,
-    _HEADER_V1,
     DELTA_VERSION,
     FORMAT_VERSION,
-    LEGACY_VERSION,
     MAGIC,
 )
 from repro.errors import SnapshotError
 from repro.graph.graph import DataflowGraph
 from repro.graph.opcodes import Op
 from repro.machine.machine import Machine
+
+#: the retired v1 envelope (magic, version 1, payload length, payload
+#: sha256); well-formed v1 files must be refused before any decoding
+_HEADER_V1 = struct.Struct(">8sIQ32s")
 
 #: sentinel: gadget payloads call ``_trip()``; decoding must never
 #: reach it
@@ -72,8 +75,7 @@ def _decode(path):
     acceptable failures."""
     global TRIPPED
     TRIPPED = False
-    for fn in (read_metadata,
-               lambda p: read_snapshot(p, allow_legacy=True)):
+    for fn in (read_metadata, read_snapshot):
         try:
             fn(path)
         except SnapshotError:
@@ -129,7 +131,7 @@ class TestMutationFuzz:
             )
             header = _HEADER.pack(
                 MAGIC,
-                rng.choice([LEGACY_VERSION, FORMAT_VERSION, 3, 0, 2**31]),
+                rng.choice([1, FORMAT_VERSION, 3, 0, 2**31]),
                 meta_len,
                 bytes(rng.randrange(256) for _ in range(32)),
                 payload_len,
@@ -153,7 +155,7 @@ class TestGadgetEnvelopes:
 
     def _wrap_v1(self, payload):
         return _HEADER_V1.pack(
-            MAGIC, LEGACY_VERSION, len(payload),
+            MAGIC, 1, len(payload),
             hashlib.sha256(payload).digest(),
         ) + payload
 
@@ -200,7 +202,7 @@ class TestGadgetEnvelopes:
                 TRIPPED = False
                 path.write_bytes(wrap(payload))
                 with pytest.raises(SnapshotError):
-                    read_snapshot(path, allow_legacy=True)
+                    read_snapshot(path)
                 assert not TRIPPED, "gadget executed during decode"
 
     def test_repro_function_gadgets_rejected(self, tmp_path):
@@ -233,10 +235,11 @@ class TestGadgetEnvelopes:
         ]
         for gadget, pattern, side_effect in cases:
             payload = pickle.dumps({"machine": gadget, "cycle": 0})
-            for wrap in (self._wrap_v2, self._wrap_v1):
+            for wrap, refusal in ((self._wrap_v2, pattern),
+                                  (self._wrap_v1, "format version 1")):
                 path.write_bytes(wrap(payload))
-                with pytest.raises(SnapshotError, match=pattern):
-                    read_snapshot(path, allow_legacy=True)
+                with pytest.raises(SnapshotError, match=refusal):
+                    read_snapshot(path)
                 assert not side_effect.exists(), (
                     f"{pattern} gadget executed during decode"
                 )

@@ -1,15 +1,17 @@
 """Format v2 specifics: self-describing metadata, the restricted
-unpickler, the legacy-v1 gate, and in-place migration.
+unpickler, and the refusal of the retired v1 format.
 
 The format-agnostic damage-detection matrix lives in
 ``test_snapshot_format.py``; this file covers what v2 *added*.
 """
 
+import hashlib
 import io
 import json
 import os
 import pickle
 import pickletools
+import struct
 import subprocess
 import sys
 from pathlib import Path
@@ -18,9 +20,7 @@ import pytest
 
 from repro.checkpoint import (
     FORMAT_VERSION,
-    LEGACY_VERSION,
     load_machine,
-    migrate_snapshot,
     read_metadata,
     read_snapshot,
     save_snapshot,
@@ -28,9 +28,7 @@ from repro.checkpoint import (
 )
 from repro.checkpoint.snapshot import (
     _HEADER,
-    _HEADER_V1,
     _restricted_loads,
-    _snapshot_bytes_v1,
     snapshot_bytes,
     snapshot_metadata,
 )
@@ -50,9 +48,26 @@ def _machine(n_values=5):
     return Machine(g, inputs={"x": list(range(n_values))})
 
 
-def _v1_file(tmp_path, name="legacy.snap", reason="periodic"):
+#: the retired v1 envelope: magic(8s) + version(I) + payload
+#: length(Q) + payload sha256(32s), then an unrestricted pickle
+_HEADER_V1 = struct.Struct(">8sIQ32s")
+
+
+def _v1_bytes(payload):
+    header = _HEADER_V1.pack(
+        b"RPROSNAP", 1, len(payload), hashlib.sha256(payload).digest()
+    )
+    return header + payload
+
+
+def _v1_file(tmp_path, name="legacy.snap"):
+    m = _machine()
+    payload = pickle.dumps(
+        {"machine": m, "cycle": m.now, "reason": "periodic"},
+        protocol=pickle.HIGHEST_PROTOCOL,
+    )
     path = tmp_path / name
-    path.write_bytes(_snapshot_bytes_v1(_machine(), reason=reason))
+    path.write_bytes(_v1_bytes(payload))
     return path
 
 
@@ -289,31 +304,18 @@ class TestRestrictedUnpickler:
 
 
 # ----------------------------------------------------------------------
-# legacy v1 gate + migration
+# format v1 is refused
 # ----------------------------------------------------------------------
 class TestLegacyGate:
     def test_v1_refused_by_default(self, tmp_path):
         path = _v1_file(tmp_path)
-        with pytest.raises(SnapshotError, match="snapshot migrate"):
-            read_snapshot(path)
-        with pytest.raises(SnapshotError, match="--allow-v1"):
-            load_machine(path)
+        for read in (read_snapshot, load_machine, snapshot_cycle):
+            with pytest.raises(SnapshotError, match="format version 1"):
+                read(path)
 
-    def test_v1_loads_behind_opt_in(self, tmp_path):
-        path = _v1_file(tmp_path)
-        data = read_snapshot(path, allow_legacy=True)
-        assert data["cycle"] == 0
-        assert data["meta"]["format"] == LEGACY_VERSION
-        loaded = load_machine(path, expected_cls=Machine, allow_legacy=True)
-        loaded.run()
-        ref = _machine()
-        ref.run()
-        assert loaded.outputs() == ref.outputs()
-
-    def test_v1_gadget_still_rejected_even_with_opt_in(self, tmp_path):
-        # allow_legacy waives the *format* gate, never the unpickler
-        import hashlib
-
+    def test_v1_gadget_refused_before_unpickling(self, tmp_path):
+        # the envelope check refuses the format before the restricted
+        # unpickler ever sees the payload
         class Gadget:
             def __reduce__(self):
                 import os
@@ -321,63 +323,18 @@ class TestLegacyGate:
                 return (os.system, ("true",))
 
         payload = pickle.dumps({"machine": Gadget(), "cycle": 0})
-        header = _HEADER_V1.pack(
-            b"RPROSNAP", LEGACY_VERSION, len(payload),
-            hashlib.sha256(payload).digest(),
-        )
         path = tmp_path / "evil-v1.snap"
-        path.write_bytes(header + payload)
-        with pytest.raises(SnapshotError, match="forbidden global"):
-            read_snapshot(path, allow_legacy=True)
+        path.write_bytes(_v1_bytes(payload))
+        with pytest.raises(SnapshotError, match="format version 1"):
+            read_snapshot(path)
 
-    def test_v1_metadata_readable_with_hint(self, tmp_path):
-        meta = read_metadata(_v1_file(tmp_path))
-        assert meta["format"] == LEGACY_VERSION
-        assert meta["checksum"] == "ok"
-        assert "migrate" in meta["hint"]
-
-
-class TestMigration:
-    def test_migrate_then_load_without_opt_in(self, tmp_path):
-        path = _v1_file(tmp_path, reason="periodic")
-        assert migrate_snapshot(path) == "migrated"
-        meta = read_metadata(path)
-        assert meta["format"] == FORMAT_VERSION
-        assert meta["reason"] == "periodic"
-        loaded = load_machine(path, expected_cls=Machine)
-        loaded.run()
-        ref = _machine()
-        ref.run()
-        assert loaded.outputs() == ref.outputs()
-
-    def test_migrate_keeps_payload_bytes_verbatim(self, tmp_path):
-        path = _v1_file(tmp_path)
-        original_payload = path.read_bytes()[_HEADER_V1.size:]
-        migrate_snapshot(path)
-        raw = path.read_bytes()
-        (_, _, meta_len, _, payload_len, _) = _HEADER.unpack_from(raw)
-        assert raw[_HEADER.size + meta_len:] == original_payload
-
-    def test_migrate_is_idempotent(self, tmp_path):
-        path = _v1_file(tmp_path)
-        assert migrate_snapshot(path) == "migrated"
-        before = path.read_bytes()
-        assert migrate_snapshot(path) == "already-v2"
-        assert path.read_bytes() == before
-
-    def test_migrate_refuses_corrupt_v1(self, tmp_path):
-        path = _v1_file(tmp_path)
-        raw = bytearray(path.read_bytes())
-        raw[-1] ^= 0xFF
-        path.write_bytes(bytes(raw))
-        with pytest.raises(SnapshotError, match="checksum"):
-            migrate_snapshot(path)
-        # the original (corrupt) file is untouched, not half-written
-        assert bytes(raw) == path.read_bytes()
+    def test_v1_metadata_refused(self, tmp_path):
+        with pytest.raises(SnapshotError, match="format version 1"):
+            read_metadata(_v1_file(tmp_path))
 
 
 # ----------------------------------------------------------------------
-# CLI: repro snapshot inspect / migrate
+# CLI: repro snapshot inspect
 # ----------------------------------------------------------------------
 def _cli(*argv, cwd=None):
     env = dict(os.environ)
@@ -398,13 +355,12 @@ class TestSnapshotCli:
         assert meta["format"] == FORMAT_VERSION
         assert meta["reason"] == "test"
 
-    def test_inspect_hints_migration_on_v1(self, tmp_path):
+    def test_inspect_refuses_v1(self, tmp_path):
         path = _v1_file(tmp_path)
         proc = _cli("snapshot", "inspect", str(path))
-        assert proc.returncode == 0, proc.stderr
-        meta = json.loads(proc.stdout)
-        assert meta["format"] == LEGACY_VERSION
-        assert b"migrate" in proc.stderr
+        assert proc.returncode == 1
+        assert b"format version 1" in proc.stderr
+        assert b"Traceback" not in proc.stderr
 
     def test_inspect_fails_typed_on_garbage(self, tmp_path):
         bad = tmp_path / "junk.snap"
@@ -413,12 +369,3 @@ class TestSnapshotCli:
         assert proc.returncode == 1
         assert b"error:" in proc.stderr
         assert b"Traceback" not in proc.stderr
-
-    def test_migrate_directory(self, tmp_path):
-        _v1_file(tmp_path, name="a.snap")
-        _v1_file(tmp_path, name="b.snap")
-        save_snapshot(_machine(), tmp_path / "c.snap")
-        proc = _cli("snapshot", "migrate", str(tmp_path))
-        assert proc.returncode == 0, proc.stderr
-        for name in ("a.snap", "b.snap", "c.snap"):
-            assert read_metadata(tmp_path / name)["format"] == FORMAT_VERSION

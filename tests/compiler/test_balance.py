@@ -2,12 +2,12 @@
 
 import pytest
 
+import repro
 from repro.analysis import analyze_rate, is_fully_pipelined
 from repro.compiler import balance_graph, compute_levels, verify_balanced
 from repro.compiler.balance import METHODS
 from repro.errors import CompileError
 from repro.graph import DataflowGraph, Op, validate
-from repro.sim import run_graph
 
 
 def wide_dag(lengths=(3, 1, 0)) -> DataflowGraph:
@@ -129,7 +129,7 @@ class TestKnownOptima:
         g.connect(join, sink, 0)
         res = balance_graph(g, method="optimal")
         assert res.inserted_stages == 0
-        res2 = run_graph(g, {"a": [1.0] * 30, "b": [1.0] * 30})
+        res2 = repro.run(g, {"a": [1.0] * 30, "b": [1.0] * 30}, backend="sync")
         assert res2.initiation_interval() == pytest.approx(2.0)
 
     def test_naive_buffers_source_slack(self):
@@ -172,13 +172,15 @@ class TestThroughputRestoration:
     def test_unbalanced_dag_is_slow_then_fixed(self):
         g1 = wide_dag()
         assert not is_fully_pipelined(g1)
-        res1 = run_graph(g1, {"x": [float(k) for k in range(40)]})
+        res1 = repro.run(g1, {"x": [float(k) for k in range(40)]},
+                         backend="sync")
         assert res1.initiation_interval() > 2.0
 
         g2 = wide_dag()
         balance_graph(g2)
         assert is_fully_pipelined(g2)
-        res2 = run_graph(g2, {"x": [float(k) for k in range(40)]})
+        res2 = repro.run(g2, {"x": [float(k) for k in range(40)]},
+                         backend="sync")
         assert res2.initiation_interval() == pytest.approx(2.0)
         assert res1.outputs["y"] == res2.outputs["y"]
 
@@ -191,7 +193,7 @@ class TestThroughputRestoration:
     def test_rate_analysis_agrees_with_simulation(self):
         g = double_diamond()
         rep = analyze_rate(g)
-        res = run_graph(g, {"x": [1.0] * 60})
+        res = repro.run(g, {"x": [1.0] * 60}, backend="sync")
         assert res.initiation_interval() == pytest.approx(
             float(rep.initiation_interval), abs=0.1
         )

@@ -4,6 +4,7 @@ import random
 
 import pytest
 
+import repro
 from repro.compiler import (
     ArraySpec,
     balance_graph,
@@ -12,7 +13,6 @@ from repro.compiler import (
 )
 from repro.errors import CompileError
 from repro.graph import Op, validate
-from repro.sim import run_graph
 from repro.val import parse_program, run_program
 from repro.workloads.programs import SOURCES
 
@@ -44,7 +44,7 @@ class TestPipelineScheme:
         art = example1_artifacts(m)
         validate(art.graph)
         balance_graph(art.graph)
-        res = run_graph(art.graph, {"B": B, "C": C})
+        res = repro.run(art.graph, {"B": B, "C": C}, backend="sync")
         assert res.outputs["A"] == pytest.approx(example1_reference(B, C, m))
 
     def test_output_range_metadata(self):
@@ -56,10 +56,11 @@ class TestPipelineScheme:
         m = 120
         art = example1_artifacts(m)
         balance_graph(art.graph)
-        res = run_graph(
-            art.graph, {"B": [1.0] * (m + 2), "C": [1.0] * (m + 2)}
+        res = repro.run(
+            art.graph, {"B": [1.0] * (m + 2), "C": [1.0] * (m + 2)},
+            backend="sync"
         )
-        times = res.sink_records["A"].times
+        times = res.sink_times["A"]
         interior = [b - a for a, b in zip(times[10:-10], times[11:-9])]
         assert sum(interior) / len(interior) == pytest.approx(2.0, abs=0.01)
 
@@ -91,7 +92,7 @@ class TestParallelScheme:
         art = example1_artifacts(m, scheme="parallel")
         validate(art.graph)
         balance_graph(art.graph)
-        res = run_graph(art.graph, {"B": B, "C": C})
+        res = repro.run(art.graph, {"B": B, "C": C}, backend="sync")
         assert res.outputs["A"] == pytest.approx(example1_reference(B, C, m))
 
     def test_cell_count_scales_with_m(self):
@@ -118,7 +119,8 @@ class TestParallelScheme:
         arrays = {"A": ArraySpec("A", 0, m - 1)}
         art = compile_forall_parallel("Y", node, arrays, {"m": m})
         balance_graph(art.graph)
-        res = run_graph(art.graph, {"A": [3.0, 1.0, 4.0, 1.0, 5.0]})
+        res = repro.run(art.graph, {"A": [3.0, 1.0, 4.0, 1.0, 5.0]},
+                        backend="sync")
         assert res.outputs["Y"] == [3.0, 1.0, 4.0, 1.0, 5.0]
 
 
@@ -132,6 +134,6 @@ class TestSchemeEquivalence:
         for scheme in ("pipeline", "parallel"):
             art = example1_artifacts(m, scheme=scheme)
             balance_graph(art.graph)
-            res = run_graph(art.graph, {"B": B, "C": C})
+            res = repro.run(art.graph, {"B": B, "C": C}, backend="sync")
             outs.append(res.outputs["A"])
         assert outs[0] == pytest.approx(outs[1])

@@ -9,6 +9,7 @@ import random
 
 import pytest
 
+import repro
 from repro.compiler import (
     ArraySpec,
     balance_graph,
@@ -21,7 +22,6 @@ from repro.compiler import (
 )
 from repro.errors import CompileError, RecurrenceError
 from repro.graph import validate
-from repro.sim import run_graph
 from repro.val import parse_program, run_program
 from repro.workloads.programs import SOURCES
 
@@ -65,7 +65,7 @@ class TestToddScheme:
         m = 9
         A, B = random_ab(m, 1)
         art = compiled("todd", m)
-        res = run_graph(art.graph, {"A": A, "B": B})
+        res = repro.run(art.graph, {"A": A, "B": B}, backend="sync")
         assert res.outputs["X"] == pytest.approx(example2_reference(A, B, m))
 
     def test_loop_is_three_stages(self):
@@ -80,7 +80,8 @@ class TestToddScheme:
         higher than 1/3' (Section 7, Figure 7)."""
         m = 150
         art = compiled("todd", m)
-        res = run_graph(art.graph, {"A": [1.0] * m, "B": [0.5] * m})
+        res = repro.run(art.graph, {"A": [1.0] * m, "B": [0.5] * m},
+                        backend="sync")
         assert res.initiation_interval("X") == pytest.approx(3.0, abs=0.05)
 
 
@@ -89,7 +90,7 @@ class TestCompanionScheme:
         m = 9
         A, B = random_ab(m, 2)
         art = compiled("companion", m)
-        res = run_graph(art.graph, {"A": A, "B": B})
+        res = repro.run(art.graph, {"A": A, "B": B}, backend="sync")
         assert res.outputs["X"] == pytest.approx(example2_reference(A, B, m))
 
     def test_loop_is_four_stages_two_tokens(self):
@@ -104,7 +105,8 @@ class TestCompanionScheme:
     def test_rate_is_maximum(self):
         m = 150
         art = compiled("companion", m)
-        res = run_graph(art.graph, {"A": [1.0] * m, "B": [0.5] * m})
+        res = repro.run(art.graph, {"A": [1.0] * m, "B": [0.5] * m},
+                        backend="sync")
         assert res.initiation_interval("X") == pytest.approx(2.0, abs=0.05)
 
     @pytest.mark.parametrize("distance", [2, 3, 4, 8])
@@ -117,7 +119,7 @@ class TestCompanionScheme:
         loop = art.graph.meta["loop"]
         assert loop["length"] == 2 * distance
         assert loop["tokens"] == distance
-        res = run_graph(art.graph, {"A": A, "B": B})
+        res = repro.run(art.graph, {"A": A, "B": B}, backend="sync")
         assert res.outputs["X"] == pytest.approx(example2_reference(A, B, m))
 
     def test_distance_one_rejected(self):
@@ -130,7 +132,7 @@ class TestCompanionScheme:
     def test_degenerate_short_loops_unroll(self, m):
         A, B = random_ab(m, m)
         art = compiled("companion", m, distance=4)
-        res = run_graph(art.graph, {"A": A, "B": B})
+        res = repro.run(art.graph, {"A": A, "B": B}, backend="sync")
         assert res.outputs["X"] == pytest.approx(example2_reference(A, B, m))
 
     def test_prefix_sum(self):
@@ -141,7 +143,7 @@ class TestCompanionScheme:
         )
         balance_graph(art.graph)
         A = [float(k) for k in range(1, m + 1)]
-        res = run_graph(art.graph, {"A": A})
+        res = repro.run(art.graph, {"A": A}, backend="sync")
         expect = [0.0]
         for a in A:
             expect.append(expect[-1] + a)
@@ -156,7 +158,8 @@ class TestSchemeComparison:
         steps = {}
         for scheme in ("todd", "companion"):
             art = compiled(scheme, m)
-            sim_res = run_graph(art.graph, {"A": [1.0] * m, "B": [0.5] * m})
+            sim_res = repro.run(art.graph, {"A": [1.0] * m, "B": [0.5] * m},
+                                backend="sync")
             steps[scheme] = sim_res.stats.steps
         # rate 1/2 vs 1/3: wall-clock ratio approaches 3/2
         assert steps["todd"] / steps["companion"] == pytest.approx(1.5, abs=0.1)
@@ -167,7 +170,7 @@ class TestSchemeComparison:
         expect = example2_reference(A, B, m)
         for scheme in ("todd", "companion"):
             art = compiled(scheme, m)
-            res = run_graph(art.graph, {"A": A, "B": B})
+            res = repro.run(art.graph, {"A": A, "B": B}, backend="sync")
             assert res.outputs["X"] == pytest.approx(expect), scheme
 
     def test_auto_uses_companion_for_simple(self):
@@ -190,7 +193,7 @@ X : array[real] :=
             compile_foriter_companion("X", node, {}, {"m": m})
         art = compile_foriter("X", node, {}, {"m": m}, scheme="auto")
         balance_graph(art.graph)
-        res = run_graph(art.graph, {})
+        res = repro.run(art.graph, {}, backend="sync")
         # x_i = x_{i-1}^2 with x_0 = 1: all ones
         assert res.outputs["X"] == [1.0] * (m + 1)
 
@@ -208,8 +211,9 @@ class TestInterleavedScheme:
         )
         validate(art.graph)
         balance_graph(art.graph)
-        res = run_graph(
-            art.graph, {"A": interleave(As), "B": interleave(Bs)}
+        res = repro.run(
+            art.graph, {"A": interleave(As), "B": interleave(Bs)},
+            backend="sync"
         )
         outs = deinterleave(res.outputs["X"], b)
         for j in range(b):
@@ -224,9 +228,10 @@ class TestInterleavedScheme:
             "X", example2_node(), example2_specs(m), {"m": m}, batch=b
         )
         balance_graph(art.graph)
-        res = run_graph(
+        res = repro.run(
             art.graph,
             {"A": [1.0] * (m * b), "B": [0.5] * (m * b)},
+            backend="sync",
         )
         assert res.initiation_interval("X") == pytest.approx(2.0, abs=0.05)
         loop = art.graph.meta["loop"]

@@ -10,6 +10,7 @@ import random
 
 import pytest
 
+import repro
 from repro.compiler import (
     ArraySpec,
     ExprBuilder,
@@ -18,7 +19,6 @@ from repro.compiler import (
     compile_program,
     verify_balanced,
 )
-from repro.sim import run_graph
 from repro.val import parse_expression
 from repro.workloads import SOURCES
 
@@ -26,7 +26,7 @@ from tests.util import compile_and_compare
 
 
 def _steady(res, stream):
-    times = res.run.sink_records[stream].times
+    times = res.run.sink_times[stream]
     skip = max(1, len(times) // 4)
     window = times[skip:-skip] if len(times) > 2 * skip + 2 else times[skip:]
     return (window[-1] - window[0]) / (len(window) - 1)
@@ -73,8 +73,8 @@ class TestTheorem1:
             "B": [rng.uniform(-1, 1) for _ in range(m + 2)],
             "C": [rng.random() < 0.5 for _ in range(m + 2)],
         }
-        res = run_graph(g, inputs)
-        times = res.sink_records["out"].times
+        res = repro.run(g, inputs, backend="sync")
+        times = res.sink_times["out"]
         skip = len(times) // 4
         interior = [b - a for a, b in zip(times[skip:-skip], times[skip + 1:-skip + 1] if skip else times[skip + 1:])]
         assert sum(interior) / len(interior) == pytest.approx(2.0, abs=0.05)

@@ -10,10 +10,10 @@ and then fix each graph and assert it runs clean.
 
 import pytest
 
+import repro
 from repro.errors import DeadlockError
 from repro.graph.graph import DataflowGraph, wire_merge
 from repro.graph.opcodes import Op
-from repro.machine.machine import run_machine
 
 
 def _recurrence_graph(with_initial: bool):
@@ -52,7 +52,7 @@ class TestRecurrenceJam:
     def test_missing_initial_token_is_diagnosed(self):
         g, inputs = _recurrence_graph(with_initial=False)
         with pytest.raises(DeadlockError) as exc_info:
-            run_machine(g, inputs)
+            repro.run(g, inputs)
         err = exc_info.value
         diag = err.diagnosis
         assert diag is not None
@@ -70,7 +70,7 @@ class TestRecurrenceJam:
 
     def test_corrected_graph_runs(self):
         g, inputs = _recurrence_graph(with_initial=True)
-        out, _, _ = run_machine(g, inputs)
+        out = repro.run(g, inputs).outputs
         assert out["y"] == [1, 3, 6]
 
 
@@ -78,7 +78,7 @@ class TestConditionalJam:
     def test_starved_merge_control_is_diagnosed(self):
         g, inputs = _conditional_graph(control_values=[])
         with pytest.raises(DeadlockError) as exc_info:
-            run_machine(g, inputs)
+            repro.run(g, inputs)
         diag = exc_info.value.diagnosis
         assert diag is not None
         pick = next(c for c in diag.starved_cells if c.label == "pick")
@@ -87,7 +87,7 @@ class TestConditionalJam:
 
     def test_corrected_graph_runs(self):
         g, inputs = _conditional_graph(control_values=[True, False, True])
-        out, _, _ = run_machine(g, inputs)
+        out = repro.run(g, inputs).outputs
         # MERGE consumes only the selected port: the False firing leaves
         # a's second token queued for the next True control
         assert out["y"] == [1.0, 0.0, 2.0]
@@ -107,7 +107,7 @@ class TestUndrainedSources:
         g.connect(add, sink, 0)
         inputs = {"a": [1, 2, 3, 4, 5], "b": [10, 20, 30]}
         with pytest.raises(DeadlockError) as exc_info:
-            run_machine(g, inputs)
+            repro.run(g, inputs)
         err = exc_info.value
         assert "never consumed" in str(err)
         diag = err.diagnosis
@@ -121,7 +121,7 @@ class TestUndrainedSources:
         a = g.add_source("a", stream="a")
         sink = g.add_sink("out", stream="y", limit=3)
         g.connect(a, sink, 0)
-        out, _, _ = run_machine(g, {"a": [1, 2, 3]})
+        out = repro.run(g, {"a": [1, 2, 3]}).outputs
         assert out["y"] == [1, 2, 3]
 
 
@@ -129,7 +129,7 @@ class TestDiagnosisReporting:
     def test_pending_sink_counts(self):
         g, inputs = _recurrence_graph(with_initial=False)
         with pytest.raises(DeadlockError) as exc_info:
-            run_machine(g, inputs)
+            repro.run(g, inputs)
         diag = exc_info.value.diagnosis
         assert diag.pending_sinks == {"y": (0, 3)}
         assert diag.missing_outputs == 3
@@ -148,7 +148,7 @@ class TestDiagnosisReporting:
     def test_summary_is_multiline_prose(self):
         g, inputs = _conditional_graph(control_values=[])
         with pytest.raises(DeadlockError) as exc_info:
-            run_machine(g, inputs)
+            repro.run(g, inputs)
         text = exc_info.value.diagnosis.summary()
         assert text.startswith("deadlock diagnosis at cycle")
         assert "starved" in text and "suspect" in text
@@ -162,7 +162,7 @@ class TestFailureForensics:
     def test_deadlock_carries_cycle_and_no_snapshot_by_default(self):
         g, inputs = _recurrence_graph(with_initial=False)
         with pytest.raises(DeadlockError) as exc_info:
-            run_machine(g, inputs)
+            repro.run(g, inputs)
         err = exc_info.value
         assert err.cycle == err.step >= 0
         assert err.snapshot_path is None
@@ -175,7 +175,7 @@ class TestFailureForensics:
 
         g, inputs = _recurrence_graph(with_initial=False)
         with pytest.raises(DeadlockError) as exc_info:
-            run_machine(
+            repro.run(
                 g, inputs, checkpoint=CheckpointConfig(tmp_path, interval=0)
             )
         err = exc_info.value

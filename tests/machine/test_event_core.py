@@ -159,9 +159,9 @@ class TestPickleBoundary:
         loaded.run()
         assert _result(loaded) == want
 
-    @pytest.mark.parametrize("name", ["fig2-v1.snap", "fig7-v1.snap"])
+    @pytest.mark.parametrize("name", ["fig2-v2.snap", "fig7-v2.snap"])
     def test_committed_fixtures_still_load(self, name):
-        machine = load_machine(FIXTURES / name, allow_legacy=True)
+        machine = load_machine(FIXTURES / name)
         assert set(machine._table.rows) == set(machine.graph.cells)
         machine.run()
         assert machine.outputs()

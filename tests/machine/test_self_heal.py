@@ -25,10 +25,11 @@ from repro.faults import FaultPlan, ShardFault
 from repro.machine import (
     Machine,
     MachineConfig,
+    RecoveryPolicy,
+    ShardConfig,
     ShardedRunner,
     ShardHangError,
     ShardRecoveryExhausted,
-    ShardRecoveryPolicy,
 )
 from repro.machine import sharded as sharded_mod
 from repro.workloads import figure_workload
@@ -43,6 +44,11 @@ EMPTY_PLAN = FaultPlan(derivation="keyed")
 #: fast-failing policy for tests: no real backoff waits, and a short
 #: enough deadline that hang detection doesn't dominate the suite
 FAST = dict(backoff_base=0.0, jitter=0.0)
+
+
+def _healing(**kw):
+    """Healing forced on, with the fast-failing test policy."""
+    return RecoveryPolicy(enabled=True, **FAST, **kw)
 
 
 @functools.lru_cache(maxsize=None)
@@ -65,7 +71,7 @@ def _reference(name):
     return outputs, {s: machine.sink_arrival_times(s) for s in outputs}
 
 
-def _chaos_run(tmp_path, name, shards, faults, *, heal=None,
+def _chaos_run(tmp_path, name, shards, faults, *, recovery=None,
                plan=None, interval=INTERVAL, max_cycles=50_000_000):
     graph, streams = _fig(name)
     base = plan if plan is not None else EMPTY_PLAN
@@ -78,9 +84,12 @@ def _chaos_run(tmp_path, name, shards, faults, *, heal=None,
         tmp_path / "snaps", interval=interval, retain=3
     )
     runner = ShardedRunner(
-        graph, streams, shards=shards,
+        graph, streams,
         config=MachineConfig.unit_time(), checkpoint=cfg,
-        fault_plan=chaos, processes=True, heal=heal,
+        fault_plan=chaos,
+        shard_config=ShardConfig(
+            shards=shards, processes=True, recovery=recovery
+        ),
     )
     runner.run(max_cycles=max_cycles)
     outputs = runner.outputs()
@@ -101,7 +110,7 @@ class TestKillRecovery:
         victim = shards - 1
         runner, out, times = _chaos_run(
             tmp_path, name, shards, [_fault(victim, 30)],
-            heal=ShardRecoveryPolicy(**FAST),
+            recovery=_healing(),
         )
         assert out == ref_out
         assert times == ref_times
@@ -129,7 +138,7 @@ class TestKillRecovery:
         }
         runner, out, times = _chaos_run(
             tmp_path, "fig7", 4, [_fault(2, 30)], plan=plan,
-            heal=ShardRecoveryPolicy(**FAST),
+            recovery=_healing(),
         )
         assert out == ref_out
         assert times == ref_times
@@ -145,10 +154,12 @@ class TestKillRecovery:
              "shard_faults": [_fault(1, 30)]}
         )
         runner = ShardedRunner(
-            graph, streams, shards=4,
+            graph, streams,
             config=MachineConfig.unit_time(), checkpoint=cfg,
-            fault_plan=plan, processes=True,
-            heal=ShardRecoveryPolicy(**FAST),
+            fault_plan=plan,
+            shard_config=ShardConfig(
+                shards=4, processes=True, recovery=_healing()
+            ),
         )
         pids = []
         orig = ShardedRunner._recover
@@ -174,9 +185,13 @@ class TestKillRecovery:
         )
         plan = FaultPlan(shard_faults=(ShardFault(shard=1, cycle=30),))
         runner = ShardedRunner(
-            graph, streams, shards=4,
+            graph, streams,
             config=MachineConfig.unit_time(), checkpoint=cfg,
-            fault_plan=plan, processes=True, heal=False,
+            fault_plan=plan,
+            shard_config=ShardConfig(
+                shards=4, processes=True,
+                recovery=RecoveryPolicy(enabled=False),
+            ),
         )
         with pytest.raises(sharded_mod.ShardCrashError) as err:
             runner.run()
@@ -191,9 +206,9 @@ class TestKillRecovery:
             tmp_path / "snaps", interval=INTERVAL, retain=3
         )
         runner = ShardedRunner(
-            graph, streams, shards=4,
+            graph, streams,
             config=MachineConfig.unit_time(), checkpoint=cfg,
-            processes=True,
+            shard_config=ShardConfig(shards=4, processes=True),
         )
         assert runner._heal is not None
         with pytest.raises(sharded_mod.ShardCrashError):
@@ -206,7 +221,7 @@ class TestHangRecovery:
         ref_out, ref_times = _reference(name)
         runner, out, times = _chaos_run(
             tmp_path, name, 4, [_fault(1, 30, kind="hang")],
-            heal=ShardRecoveryPolicy(deadline=0.5, **FAST),
+            recovery=_healing(deadline=0.5),
         )
         assert out == ref_out
         assert times == ref_times
@@ -221,7 +236,7 @@ class TestHangRecovery:
         runner, out, times = _chaos_run(
             tmp_path, "fig7", 4,
             [_fault(1, 30, kind="slow", delay=0.2)],
-            heal=ShardRecoveryPolicy(deadline=30.0, **FAST),
+            recovery=_healing(deadline=30.0),
         )
         assert out == ref_out
         assert times == ref_times
@@ -238,9 +253,13 @@ class TestHangRecovery:
             shard_faults=(ShardFault(shard=2, cycle=30, kind="hang"),)
         )
         runner = ShardedRunner(
-            graph, streams, shards=4,
+            graph, streams,
             config=MachineConfig.unit_time(),
-            fault_plan=plan, processes=True, heal=False,
+            fault_plan=plan,
+            shard_config=ShardConfig(
+                shards=4, processes=True,
+                recovery=RecoveryPolicy(enabled=False),
+            ),
         )
         with pytest.raises(ShardHangError) as err:
             runner.run()
@@ -259,7 +278,7 @@ class TestKillDuringSnapshot:
         ref_out, ref_times = _reference("fig7")
         runner, out, times = _chaos_run(
             tmp_path, "fig7", 4, [_fault(2, 20)],
-            heal=ShardRecoveryPolicy(**FAST),
+            recovery=_healing(),
         )
         assert out == ref_out
         assert times == ref_times
@@ -289,14 +308,16 @@ class TestEscalation:
         graph, streams = _fig("fig7")
         with pytest.raises(ShardRecoveryExhausted) as err:
             repro.run(
-                graph, streams, backend="sharded", shards=4,
+                graph, streams, backend="sharded",
                 config=MachineConfig.unit_time(),
                 faults=self._two_kill_plan(),
                 checkpoint=CheckpointConfig(
                     tmp_path / "snaps", interval=INTERVAL, retain=3
                 ),
-                processes=True,
-                heal=ShardRecoveryPolicy(max_restarts=1, **FAST),
+                shard_config=ShardConfig(
+                    shards=4, processes=True,
+                    recovery=_healing(max_restarts=1),
+                ),
             )
         assert err.value.shard == 1
         assert err.value.cycle >= 30
@@ -352,7 +373,7 @@ class TestEscalation:
         runner, out, times = _chaos_run(
             tmp_path, "fig7", 4,
             [_fault(1, 30), _fault(1, 30)],
-            heal=ShardRecoveryPolicy(max_restarts=5, **FAST),
+            recovery=_healing(max_restarts=5),
         )
         assert out == ref_out
         assert times == ref_times
@@ -365,9 +386,7 @@ class TestEscalation:
         ref_out, ref_times = _reference("fig7")
         runner, out, times = _chaos_run(
             tmp_path, "fig7", 4, [_fault(1, 30)],
-            heal=ShardRecoveryPolicy(
-                max_restarts=0, degrade=True, **FAST
-            ),
+            recovery=_healing(max_restarts=0, degrade=True),
         )
         assert out == ref_out
         assert times == ref_times
@@ -386,8 +405,12 @@ class TestHealValidation:
         graph, streams = _fig("fig2")
         with pytest.raises(SimulationError):
             ShardedRunner(
-                graph, streams, shards=2, processes=False, heal=True,
+                graph, streams,
                 config=MachineConfig.unit_time(),
+                shard_config=ShardConfig(
+                    shards=2, processes=False,
+                    recovery=RecoveryPolicy(enabled=True),
+                ),
             )
 
     def test_shard_faults_need_processes(self):
@@ -395,8 +418,9 @@ class TestHealValidation:
         plan = FaultPlan(shard_faults=(ShardFault(shard=0, cycle=5),))
         with pytest.raises(SimulationError):
             ShardedRunner(
-                graph, streams, shards=2, processes=False,
+                graph, streams,
                 fault_plan=plan, config=MachineConfig.unit_time(),
+                shard_config=ShardConfig(shards=2, processes=False),
             )
 
     def test_fault_shard_out_of_range(self):
@@ -404,8 +428,9 @@ class TestHealValidation:
         plan = FaultPlan(shard_faults=(ShardFault(shard=7, cycle=5),))
         with pytest.raises(SimulationError):
             ShardedRunner(
-                graph, streams, shards=2, processes=True,
+                graph, streams,
                 fault_plan=plan, config=MachineConfig.unit_time(),
+                shard_config=ShardConfig(shards=2, processes=True),
             )
 
     def test_single_machine_rejects_shard_faults(self):
@@ -434,10 +459,12 @@ class TestHealValidation:
              "shard_faults": [_fault(1, 30)]}
         )
         runner = ShardedRunner(
-            graph, streams, shards=4,
+            graph, streams,
             config=MachineConfig.unit_time(),
-            fault_plan=plan, processes=True,
-            heal=ShardRecoveryPolicy(**FAST),
+            fault_plan=plan,
+            shard_config=ShardConfig(
+                shards=4, processes=True, recovery=_healing()
+            ),
         )
         runner.run()
         out = runner.outputs()
@@ -463,14 +490,19 @@ class TestResumeWithHealing:
              "shard_faults": [_fault(1, 30)]}
         )
         runner = ShardedRunner(
-            graph, streams, shards=4,
+            graph, streams,
             config=MachineConfig.unit_time(), checkpoint=cfg,
-            fault_plan=plan, processes=True, heal=False,
+            fault_plan=plan,
+            shard_config=ShardConfig(
+                shards=4, processes=True,
+                recovery=RecoveryPolicy(enabled=False),
+            ),
         )
         with pytest.raises(sharded_mod.ShardCrashError):
             runner.run()
         resumed = ShardedRunner.resume(
-            tmp_path / "snaps", heal=ShardRecoveryPolicy(**FAST)
+            tmp_path / "snaps",
+            shard_config=ShardConfig(recovery=_healing()),
         )
         resumed.run()
         out = resumed.outputs()

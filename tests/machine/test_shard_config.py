@@ -1,25 +1,24 @@
 """Tests for the redesigned sharded-backend configuration API.
 
 One validated :class:`ShardConfig` (with nested
-:class:`RecoveryPolicy` and :class:`TransportConfig`) replaces the
-legacy kwarg sprawl on ``repro.run`` / ``repro.resume`` / the CLI.
-The legacy kwargs must keep working as deprecation-warning shims that
-overlay onto a ShardConfig, and backends that cannot honor
+:class:`RecoveryPolicy` and :class:`TransportConfig`) is the only way
+to configure sharding on ``repro.run`` / ``repro.resume`` / the CLI,
+with ``shards=`` as its one shorthand; backends that cannot honor
 ``shard_config`` must reject it loudly.
 """
-
-import dataclasses
 
 import pytest
 
 import repro
 from repro.errors import ReproError, SimulationError
-from repro.machine import MachineConfig, RecoveryPolicy, ShardConfig, TransportConfig
-from repro.machine.shard_config import (
-    ShardRecoveryPolicy,
-    _coerce_recovery,
-    merge_legacy,
+from repro.machine import (
+    MachineConfig,
+    RecoveryPolicy,
+    ShardConfig,
+    ShardedRunner,
+    TransportConfig,
 )
+from repro.machine.shard_config import _coerce_recovery
 from repro.workloads import figure_workload
 
 
@@ -107,36 +106,38 @@ class TestJson:
 
 
 class TestRecoveryMapping:
-    def test_heal_value_tri_state(self):
-        assert ShardConfig().heal_value() is None
-        off = ShardConfig(recovery=RecoveryPolicy(enabled=False))
-        assert off.heal_value() is False
-        # a pristine policy with enabled=None is still "auto"
-        auto = ShardConfig(recovery=RecoveryPolicy())
-        assert auto.heal_value() is None
-        tuned = RecoveryPolicy(max_restarts=1)
-        assert ShardConfig(recovery=tuned).heal_value() is tuned
-
     def test_coerce_recovery_forms(self):
         assert _coerce_recovery(None) is None
         assert _coerce_recovery(False).enabled is False
         assert _coerce_recovery(True).enabled is True
-        legacy = ShardRecoveryPolicy(max_restarts=7)
-        up = _coerce_recovery(legacy)
-        assert up.enabled is True and up.max_restarts == 7
+        tuned = RecoveryPolicy(enabled=True, max_restarts=7)
+        assert _coerce_recovery(tuned) is tuned
         assert _coerce_recovery({"strikes": 3}).strikes == 3
         with pytest.raises(SimulationError):
             _coerce_recovery("yes please")
 
-    def test_merge_legacy_overlays_only_what_was_passed(self):
-        base = ShardConfig(shards=4, window="fixed")
-        merged = merge_legacy(base, heal=False, processes=True)
-        assert merged.shards == 4
-        assert merged.window == "fixed"
-        assert merged.processes is True
-        assert merged.heal_value() is False
-        # the base object is not mutated
-        assert base.processes is None and base.recovery is None
+    @pytest.mark.parametrize(
+        "enabled, checkpointed, healing",
+        [(None, False, False), (None, True, True), (True, False, True),
+         (False, True, False)],
+    )
+    def test_runner_reads_the_recovery_tri_state(
+            self, tmp_path, enabled, checkpointed, healing):
+        # auto (None) heals iff worker processes *and* checkpoints;
+        # True/False force it.  Nothing spawns before run().
+        from repro.checkpoint import CheckpointConfig
+
+        cp, inputs = _fig2()
+        policy = RecoveryPolicy(enabled=enabled, max_restarts=1)
+        runner = ShardedRunner(
+            cp.graph, cp.prepare_inputs(inputs),
+            checkpoint=(CheckpointConfig(tmp_path / "snaps", interval=10)
+                        if checkpointed else None),
+            shard_config=ShardConfig(shards=2, processes=True,
+                                     recovery=policy),
+        )
+        assert (runner._heal is policy) is healing
+        assert (runner._heal is None) is not healing
 
 
 class TestFacade:
@@ -154,43 +155,16 @@ class TestFacade:
         assert res.outputs == ref.outputs
         assert res.sink_times == ref.sink_times
 
-    def test_legacy_kwargs_warn_and_still_work(self):
+    def test_shards_kwarg_stays_first_class(self):
         cp, inputs = _fig2()
-        with pytest.deprecated_call():
-            res = repro.run(
-                cp, inputs, backend="sharded", shards=2,
-                config=MachineConfig.unit_time(),
-                processes=False, heal=False,
-            )
+        res = repro.run(
+            cp, inputs, backend="sharded", shards=2,
+            config=MachineConfig.unit_time(),
+        )
         assert res.shards == 2
         ref = repro.run(cp, inputs, backend="event",
                         config=MachineConfig.unit_time())
         assert res.outputs == ref.outputs
-
-    def test_shards_kwarg_stays_first_class(self):
-        cp, inputs = _fig2()
-        import warnings
-        with warnings.catch_warnings():
-            warnings.simplefilter("error", DeprecationWarning)
-            res = repro.run(
-                cp, inputs, backend="sharded", shards=2,
-                config=MachineConfig.unit_time(),
-                shard_config={"processes": False},
-            )
-        assert res.shards == 2
-
-    def test_legacy_kwargs_overlay_shard_config(self):
-        # an explicitly-passed legacy kwarg wins over the config value,
-        # matching how callers migrate one kwarg at a time
-        cp, inputs = _fig2()
-        with pytest.deprecated_call():
-            res = repro.run(
-                cp, inputs, backend="sharded",
-                config=MachineConfig.unit_time(),
-                shard_config={"shards": 4, "processes": True},
-                processes=False,
-            )
-        assert res.shards == 4
 
     @pytest.mark.parametrize("backend", ["sync", "event", "compiled"])
     def test_other_backends_reject_shard_config(self, backend):
@@ -286,5 +260,3 @@ class TestCli:
         err = capsys.readouterr().err
         assert "--shard-config requires --backend sharded" in err
 
-
-_ = dataclasses

@@ -8,9 +8,12 @@ real worker processes, and after killing a worker and resuming from a
 coordinated snapshot (covered in tests/checkpoint/test_coordinated.py).
 """
 
+import random
+
 import pytest
 
-from repro.analysis import Partition, PartitionError, partition_graph
+import repro
+from repro.analysis import PartitionError, partition_graph
 from repro.errors import SimulationError
 from repro.faults import FaultPlan
 from repro.faults.plan import FaultPlanError
@@ -20,11 +23,13 @@ from repro.machine import (
     MachineConfig,
     ShardConfig,
     ShardedRunner,
-    run_sharded,
     shutdown_worker_pool,
 )
-from repro.machine.sharded import pooled_worker_count
+from repro.compiler import compile_program
+from repro.machine.sharded import _graph_key, pooled_worker_count
 from repro.workloads import figure_workload
+from repro.workloads.figures import FigureWorkload
+from repro.workloads.generators import random_pipe_program
 
 FIGS = ["fig2", "fig4", "fig5", "fig6", "fig7"]
 SHARD_COUNTS = [1, 2, 4]
@@ -112,7 +117,8 @@ class TestPartitioner:
         sink = g.add_sink("out", stream="y", limit=1)
         g.connect(s, sink, 0)
         with pytest.raises(PartitionError):
-            run_sharded(g, {"x": [1.0]}, shards=8, processes=False)
+            repro.run(g, {"x": [1.0]}, backend="sharded",
+                      shard_config=ShardConfig(shards=8, processes=False))
 
 
 class TestDeterminismMatrix:
@@ -123,10 +129,12 @@ class TestDeterminismMatrix:
         graph, streams = _figure_graph(name)
         ref_out, ref_times = _reference(graph, streams)
         for k in SHARD_COUNTS:
-            out, _, runner = run_sharded(
-                graph, streams, shards=k,
-                config=MachineConfig.unit_time(), processes=False,
-            )
+            runner = repro.run(
+                graph, streams, backend="sharded",
+                config=MachineConfig.unit_time(),
+                shard_config=ShardConfig(shards=k, processes=False),
+            ).engine
+            out = runner.outputs()
             assert out == ref_out, f"{name} K={k} outputs"
             for s in ref_out:
                 assert runner.sink_arrival_times(s) == ref_times[s], (
@@ -138,10 +146,12 @@ class TestDeterminismMatrix:
         graph, streams = _figure_graph(name)
         ref_out, ref_times = _reference(graph, streams, plan=KEYED_PLAN)
         for k in SHARD_COUNTS:
-            out, stats, runner = run_sharded(
-                graph, streams, shards=k, fault_plan=KEYED_PLAN,
-                config=MachineConfig.unit_time(), processes=False,
+            res = repro.run(
+                graph, streams, backend="sharded", faults=KEYED_PLAN,
+                config=MachineConfig.unit_time(),
+                shard_config=ShardConfig(shards=k, processes=False),
             )
+            out, stats, runner = res.outputs, res.stats, res.engine
             assert out == ref_out, f"{name} K={k} faulty outputs"
             for s in ref_out:
                 assert runner.sink_arrival_times(s) == ref_times[s], (
@@ -154,10 +164,12 @@ class TestDeterminismMatrix:
         for name, plan in [("fig2", None), ("fig7", KEYED_PLAN)]:
             graph, streams = _figure_graph(name)
             ref_out, ref_times = _reference(graph, streams, plan=plan)
-            out, _, runner = run_sharded(
-                graph, streams, shards=4, fault_plan=plan,
-                config=MachineConfig.unit_time(), processes=True,
-            )
+            runner = repro.run(
+                graph, streams, backend="sharded", faults=plan,
+                config=MachineConfig.unit_time(),
+                shard_config=ShardConfig(shards=4, processes=True),
+            ).engine
+            out = runner.outputs()
             assert out == ref_out
             for s in ref_out:
                 assert runner.sink_arrival_times(s) == ref_times[s]
@@ -169,9 +181,11 @@ class TestDeterminismMatrix:
         machine.run()
         ref_out = machine.outputs()
         ref_times = {s: machine.sink_arrival_times(s) for s in ref_out}
-        out, _, runner = run_sharded(
-            graph, streams, shards=4, processes=False
-        )
+        runner = repro.run(
+            graph, streams, backend="sharded",
+            shard_config=ShardConfig(shards=4, processes=False),
+        ).engine
+        out = runner.outputs()
         assert out == ref_out
         for s in ref_out:
             assert runner.sink_arrival_times(s) == ref_times[s]
@@ -189,13 +203,14 @@ class TestAdaptiveWindows:
         for k in (2, 4):
             runs = {}
             for window in ("adaptive", "fixed"):
-                out, _, runner = run_sharded(
-                    graph, streams, fault_plan=plan,
+                runner = repro.run(
+                    graph, streams, backend="sharded", faults=plan,
                     config=MachineConfig.unit_time(),
                     shard_config=ShardConfig(
                         shards=k, processes=False, window=window
                     ),
-                )
+                ).engine
+                out = runner.outputs()
                 assert out == ref_out, f"{name} K={k} {window} outputs"
                 for s in ref_out:
                     assert runner.sink_arrival_times(s) == ref_times[s], (
@@ -213,12 +228,13 @@ class TestAdaptiveWindows:
         graph, streams = _figure_graph("fig2")
         counts = {}
         for window in ("adaptive", "fixed"):
-            _, _, runner = run_sharded(
-                graph, streams, config=MachineConfig.unit_time(),
+            runner = repro.run(
+                graph, streams, backend="sharded",
+                config=MachineConfig.unit_time(),
                 shard_config=ShardConfig(
                     shards=2, processes=False, window=window
                 ),
-            )
+            ).engine
             counts[window] = runner.windows_run
         assert counts["adaptive"] < counts["fixed"]
 
@@ -228,19 +244,20 @@ class TestAdaptiveWindows:
         # modeled times; the runner silently falls back to the fixed
         # cadence there and only unit-time-style configs stay adaptive.
         graph, streams = _figure_graph("fig2")
-        _, _, serialized = run_sharded(
-            graph, streams, config=MachineConfig(),
+        serialized = repro.run(
+            graph, streams, backend="sharded", config=MachineConfig(),
             shard_config=ShardConfig(
                 shards=2, processes=False, window="adaptive"
             ),
-        )
+        ).engine
         assert serialized._window_mode == "fixed"
-        _, _, unit = run_sharded(
-            graph, streams, config=MachineConfig.unit_time(),
+        unit = repro.run(
+            graph, streams, backend="sharded",
+            config=MachineConfig.unit_time(),
             shard_config=ShardConfig(
                 shards=2, processes=False, window="adaptive"
             ),
-        )
+        ).engine
         assert unit._window_mode == "adaptive"
 
 
@@ -258,16 +275,16 @@ class TestWarmPool:
     def test_second_run_spawns_nothing(self):
         graph, streams = _figure_graph("fig2")
         sc = ShardConfig(shards=2, processes=True, pool=True)
-        _, _, first = run_sharded(
-            graph, streams, config=MachineConfig.unit_time(),
-            shard_config=sc,
-        )
+        first = repro.run(
+            graph, streams, backend="sharded",
+            config=MachineConfig.unit_time(), shard_config=sc,
+        ).engine
         assert first.worker_spawns == 2
         assert pooled_worker_count() == 2
-        _, _, second = run_sharded(
-            graph, streams, config=MachineConfig.unit_time(),
-            shard_config=sc,
-        )
+        second = repro.run(
+            graph, streams, backend="sharded",
+            config=MachineConfig.unit_time(), shard_config=sc,
+        ).engine
         assert second.worker_spawns == 0
         assert second.worker_reuses == 2
         assert second.outputs() == first.outputs()
@@ -278,28 +295,54 @@ class TestWarmPool:
         g2, s2 = _figure_graph("fig2")
         g4, s4 = _figure_graph("fig4")
         sc = ShardConfig(shards=2, processes=True, pool=True)
-        run_sharded(g2, s2, config=MachineConfig.unit_time(),
-                    shard_config=sc)
-        _, _, other = run_sharded(
-            g4, s4, config=MachineConfig.unit_time(), shard_config=sc
-        )
+        repro.run(g2, s2, backend="sharded",
+                  config=MachineConfig.unit_time(), shard_config=sc)
+        other = repro.run(
+            g4, s4, backend="sharded", config=MachineConfig.unit_time(),
+            shard_config=sc,
+        ).engine
         assert other.worker_reuses == 0
         assert other.worker_spawns == 2
 
     def test_pool_disabled_never_parks_workers(self):
         graph, streams = _figure_graph("fig2")
         sc = ShardConfig(shards=2, processes=True, pool=False)
-        _, _, runner = run_sharded(
-            graph, streams, config=MachineConfig.unit_time(),
-            shard_config=sc,
-        )
+        runner = repro.run(
+            graph, streams, backend="sharded",
+            config=MachineConfig.unit_time(), shard_config=sc,
+        ).engine
         assert runner.worker_spawns == 2
         assert pooled_worker_count() == 0
 
+    def test_recompiled_program_has_the_same_key(self):
+        # cell names carry no memory addresses: the same source
+        # compiles to the same graph content, hence the same pool key
+        source = random_pipe_program(random.Random(1))
+        first = compile_program(source, params={"m": 8})
+        again = compile_program(source, params={"m": 8})
+        assert _graph_key(first.graph) == _graph_key(again.graph)
+
+    def test_recompiled_program_reuses_warm_workers(self):
+        source = random_pipe_program(random.Random(1))
+        sc = ShardConfig(shards=2, processes=True, pool=True)
+        runs = []
+        for _ in range(2):
+            cp = compile_program(source, params={"m": 8})
+            inputs = FigureWorkload("random_pipe", "").make_inputs(cp)
+            runs.append(repro.run(
+                cp, inputs, backend="sharded",
+                config=MachineConfig.unit_time(), shard_config=sc,
+            ))
+        assert runs[0].engine.worker_spawns == 2
+        assert runs[1].engine.worker_spawns == 0
+        assert runs[1].engine.worker_reuses == 2
+        assert runs[1].outputs == runs[0].outputs
+
     def test_shutdown_empties_pool(self):
         graph, streams = _figure_graph("fig2")
-        run_sharded(
-            graph, streams, config=MachineConfig.unit_time(),
+        repro.run(
+            graph, streams, backend="sharded",
+            config=MachineConfig.unit_time(),
             shard_config=ShardConfig(shards=2, processes=True),
         )
         assert pooled_worker_count() > 0
@@ -312,9 +355,9 @@ class TestShardedGuards:
         graph, streams = _figure_graph("fig2")
         plan = FaultPlan(seed=1, drop_result=0.05)   # derivation=sequence
         with pytest.raises((SimulationError, FaultPlanError)):
-            run_sharded(
-                graph, streams, shards=2, fault_plan=plan,
-                processes=False,
+            repro.run(
+                graph, streams, backend="sharded", faults=plan,
+                shard_config=ShardConfig(shards=2, processes=False),
             )
 
     def test_unit_faults_rejected_for_k_gt_1(self):
@@ -325,9 +368,9 @@ class TestShardedGuards:
             derivation="keyed",
         )
         with pytest.raises(SimulationError):
-            run_sharded(
-                graph, streams, shards=2, fault_plan=plan,
-                processes=False,
+            repro.run(
+                graph, streams, backend="sharded", faults=plan,
+                shard_config=ShardConfig(shards=2, processes=False),
             )
 
     def test_stats_merge_matches_single_process(self):
@@ -336,30 +379,20 @@ class TestShardedGuards:
             graph, MachineConfig.unit_time(), inputs=streams
         )
         ref_stats = machine.run()
-        _, stats, _ = run_sharded(
-            graph, streams, shards=4,
-            config=MachineConfig.unit_time(), processes=False,
-        )
+        stats = repro.run(
+            graph, streams, backend="sharded",
+            config=MachineConfig.unit_time(),
+            shard_config=ShardConfig(shards=4, processes=False),
+        ).stats
         assert stats.cycles == ref_stats.cycles
         assert stats.total_firings == ref_stats.total_firings
         assert stats.fire_counts == ref_stats.fire_counts
 
-    def test_explicit_partition_object(self):
-        graph, streams = _figure_graph("fig2")
-        part = partition_graph(graph, 2)
-        assert isinstance(part, Partition)
-        out, _, _ = run_sharded(
-            graph, streams, shards=2, partition=part,
-            config=MachineConfig.unit_time(), processes=False,
-        )
-        ref_out, _ = _reference(graph, streams)
-        assert out == ref_out
-
     def test_runner_cannot_run_twice(self):
         graph, streams = _figure_graph("fig2")
         runner = ShardedRunner(
-            graph, streams, shards=2,
-            config=MachineConfig.unit_time(), processes=False,
+            graph, streams, config=MachineConfig.unit_time(),
+            shard_config=ShardConfig(shards=2, processes=False),
         )
         runner.run()
         with pytest.raises(SimulationError):

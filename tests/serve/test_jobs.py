@@ -79,6 +79,15 @@ class TestExecution:
         # to equality because both evaluate the same operation order
         assert jobs.execute_serial(spec)["streams"] == sync["streams"]
 
+    @pytest.mark.parametrize("backend", ["sync", "event", "sharded"])
+    def test_unknown_run_option_is_a_typed_job_error(self, backend):
+        # a deleted or misspelled knob must not be silently ignored
+        spec = make_spec("a", m=4, kind="run",
+                         options={"backend": backend, "processes": True})
+        with pytest.raises(JobExecutionError, match="processes") as info:
+            jobs.execute_serial(spec)
+        assert info.value.extras["error_type"] == "ReproError"
+
     def test_pipeline_error_is_typed_not_retried(self):
         spec = make_spec("a")
         spec.source = "X := for broken"

@@ -3,9 +3,10 @@
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import repro
 from repro.graph import DataflowGraph, Op, lower_fifos
 from repro.graph.cell import _NO_TOKEN
-from repro.sim import SyncSimulator, run_graph
+from repro.sim import SyncSimulator
 
 
 def chain_with_fifos(fifo_depths: list[int]) -> DataflowGraph:
@@ -31,12 +32,12 @@ class TestFifoEquivalenceProperty:
         shift-register implementation must be timing-identical for any
         composition of depths and any input."""
         g = chain_with_fifos(depths)
-        direct = run_graph(g, {"x": values})
-        expanded = run_graph(lower_fifos(g), {"x": values})
+        direct = repro.run(g, {"x": values}, backend="sync")
+        expanded = repro.run(lower_fifos(g), {"x": values}, backend="sync")
         assert direct.outputs["y"] == expanded.outputs["y"] == values
         assert (
-            direct.sink_records["y"].times
-            == expanded.sink_records["y"].times
+            direct.sink_times["y"]
+            == expanded.sink_times["y"]
         )
 
 
@@ -95,5 +96,5 @@ class TestDeterminism:
         r2 = cp.run({"A": values})
         assert r1.outputs["Y"].to_list() == r2.outputs["Y"].to_list()
         assert (
-            r1.run.sink_records["Y"].times == r2.run.sink_records["Y"].times
+            r1.run.sink_times["Y"] == r2.run.sink_times["Y"]
         )

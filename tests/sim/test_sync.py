@@ -8,6 +8,7 @@ even-loop-length requirement, FIFO semantics, gating and merging.
 
 import pytest
 
+import repro
 from repro.errors import DeadlockError, SimulationError, SimulationTimeout
 from repro.graph import (
     GATE_PORT,
@@ -20,7 +21,7 @@ from repro.graph import (
     lower_fifos,
     window_pattern,
 )
-from repro.sim import SyncSimulator, run_graph
+from repro.sim import SyncSimulator
 
 
 def chain_graph(n_ids: int = 1) -> DataflowGraph:
@@ -37,27 +38,29 @@ def chain_graph(n_ids: int = 1) -> DataflowGraph:
 
 class TestBasicFiring:
     def test_values_flow_through_chain(self):
-        res = run_graph(chain_graph(3), {"x": [1, 2, 3, 4]})
+        res = repro.run(chain_graph(3), {"x": [1, 2, 3, 4]}, backend="sync")
         assert res.outputs["y"] == [1, 2, 3, 4]
 
     def test_refire_period_is_two(self):
         """The paper: an instruction refires every ~2 instruction times."""
-        res = run_graph(chain_graph(1), {"x": list(range(20))})
-        times = res.sink_records["y"].times
+        res = repro.run(chain_graph(1), {"x": list(range(20))}, backend="sync")
+        times = res.sink_times["y"]
         deltas = [b - a for a, b in zip(times, times[1:])]
         assert all(d == 2 for d in deltas)
         assert res.initiation_interval() == pytest.approx(2.0)
 
     def test_latency_grows_with_depth(self):
-        r1 = run_graph(chain_graph(1), {"x": [5]})
-        r4 = run_graph(chain_graph(4), {"x": [5]})
+        r1 = repro.run(chain_graph(1), {"x": [5]}, backend="sync")
+        r4 = repro.run(chain_graph(4), {"x": [5]}, backend="sync")
         assert r4.latency("y") == r1.latency("y") + 3
 
     def test_rate_independent_of_depth(self):
         """Pipeline rate does not depend on the number of stages (Sec. 3)."""
         xs = list(range(30))
-        ii_short = run_graph(chain_graph(1), {"x": xs}).initiation_interval()
-        ii_long = run_graph(chain_graph(12), {"x": xs}).initiation_interval()
+        ii_short = repro.run(chain_graph(1), {"x": xs},
+                             backend="sync").initiation_interval()
+        ii_long = repro.run(chain_graph(12), {"x": xs},
+                            backend="sync").initiation_interval()
         assert ii_short == pytest.approx(2.0)
         assert ii_long == pytest.approx(2.0)
 
@@ -68,7 +71,7 @@ class TestBasicFiring:
         sink = g.add_sink("out", stream="y")
         g.connect(s, add, 0)
         g.connect(add, sink, 0)
-        res = run_graph(g, {"a": [1, 2, 3]})
+        res = repro.run(g, {"a": [1, 2, 3]}, backend="sync")
         assert res.outputs["y"] == [11, 12, 13]
 
     def test_arithmetic_ops(self):
@@ -82,7 +85,7 @@ class TestBasicFiring:
         g.connect(b, mul, 1)
         g.connect(mul, neg, 0)
         g.connect(neg, sink, 0)
-        res = run_graph(g, {"a": [2.0, 3.0], "b": [4.0, 5.0]})
+        res = repro.run(g, {"a": [2.0, 3.0], "b": [4.0, 5.0]}, backend="sync")
         assert res.outputs["y"] == [-8.0, -15.0]
 
     def test_division_by_zero_raises(self):
@@ -93,7 +96,7 @@ class TestBasicFiring:
         g.connect(a, div, 1)
         g.connect(div, sink, 0)
         with pytest.raises(SimulationError, match="division by zero"):
-            run_graph(g, {"a": [0.0]})
+            repro.run(g, {"a": [0.0]}, backend="sync")
 
 
 class TestFigure2:
@@ -118,14 +121,15 @@ class TestFigure2:
         return g
 
     def test_values(self):
-        res = run_graph(self.build(), {"a": [1.0, 2.0], "b": [3.0, 4.0]})
+        res = repro.run(self.build(), {"a": [1.0, 2.0], "b": [3.0, 4.0]},
+                        backend="sync")
         expect = [(y + 2) * (y - 3) for y in (3.0, 8.0)]
         assert res.outputs["y"] == expect
 
     def test_fully_pipelined(self):
         n = 40
-        res = run_graph(
-            self.build(), {"a": [1.0] * n, "b": [2.0] * n}
+        res = repro.run(
+            self.build(), {"a": [1.0] * n, "b": [2.0] * n}, backend="sync"
         )
         assert res.initiation_interval() == pytest.approx(2.0)
 
@@ -161,17 +165,19 @@ class TestPathBalance:
 
     def test_unbalanced_fork_join_throttles(self):
         """Unequal path lengths limit the rate below 1/2 (Section 3)."""
-        res = run_graph(self.diamond(buffered=False), {"x": list(range(30))})
+        res = repro.run(self.diamond(buffered=False), {"x": list(range(30))},
+                        backend="sync")
         assert res.initiation_interval() == pytest.approx(3.0)
 
     def test_identity_buffer_restores_full_rate(self):
-        res = run_graph(self.diamond(buffered=True), {"x": list(range(30))})
+        res = repro.run(self.diamond(buffered=True), {"x": list(range(30))},
+                        backend="sync")
         assert res.initiation_interval() == pytest.approx(2.0)
 
     def test_values_unaffected_by_balance(self):
         xs = list(range(10))
-        r1 = run_graph(self.diamond(False), {"x": xs})
-        r2 = run_graph(self.diamond(True), {"x": xs})
+        r1 = repro.run(self.diamond(False), {"x": xs}, backend="sync")
+        r2 = repro.run(self.diamond(True), {"x": xs}, backend="sync")
         assert r1.outputs["y"] == r2.outputs["y"] == [2 * v for v in xs]
 
 
@@ -233,21 +239,23 @@ class TestFifo:
         shift-register implementation must match its timing exactly."""
         xs = list(range(12))
         g = self.fifo_graph(depth)
-        res_fifo = run_graph(g, {"x": xs})
-        res_chain = run_graph(lower_fifos(g), {"x": xs})
+        res_fifo = repro.run(g, {"x": xs}, backend="sync")
+        res_chain = repro.run(lower_fifos(g), {"x": xs}, backend="sync")
         assert res_fifo.outputs["y"] == res_chain.outputs["y"]
         assert (
-            res_fifo.sink_records["y"].times == res_chain.sink_records["y"].times
+            res_fifo.sink_times["y"] == res_chain.sink_times["y"]
         )
 
     @pytest.mark.parametrize("depth", [1, 4])
     def test_fifo_latency(self, depth):
-        base = run_graph(chain_graph(0), {"x": [7]}).latency("y")
-        res = run_graph(self.fifo_graph(depth), {"x": [7]})
+        base = repro.run(chain_graph(0), {"x": [7]},
+                         backend="sync").latency("y")
+        res = repro.run(self.fifo_graph(depth), {"x": [7]}, backend="sync")
         assert res.latency("y") == base + depth
 
     def test_fifo_preserves_full_rate(self):
-        res = run_graph(self.fifo_graph(6), {"x": list(range(30))})
+        res = repro.run(self.fifo_graph(6), {"x": list(range(30))},
+                        backend="sync")
         assert res.initiation_interval() == pytest.approx(2.0)
 
 
@@ -263,7 +271,7 @@ class TestGating:
         g.connect(src, gate, 0)
         g.connect(ctl, gate, GATE_PORT)
         g.connect(gate, sink, 0, tag=True)
-        res = run_graph(g, {"C": [10, 11, 12, 13, 14, 15]})
+        res = repro.run(g, {"C": [10, 11, 12, 13, 14, 15]}, backend="sync")
         assert res.outputs["y"] == [12, 13, 14]
 
     def test_two_sided_gate_routes_both_ways(self):
@@ -277,7 +285,7 @@ class TestGating:
         g.connect(ctl, gate, GATE_PORT)
         g.connect(gate, s1, 0, tag=True)
         g.connect(gate, s2, 0, tag=False)
-        res = run_graph(g, {"x": [1, 2, 3, 4]})
+        res = repro.run(g, {"x": [1, 2, 3, 4]}, backend="sync")
         assert res.outputs["t"] == [1, 3]
         assert res.outputs["f"] == [2, 4]
 
@@ -298,7 +306,7 @@ class TestGating:
         g.connect(cmp_cell, gate, GATE_PORT)
         g.connect(gate, pos, 0, tag=True)
         g.connect(gate, neg, 0, tag=False)
-        res = run_graph(g, {"x": [3, -1, 0, 7]})
+        res = repro.run(g, {"x": [3, -1, 0, 7]}, backend="sync")
         assert res.outputs["pos"] == [3, 7]
         assert res.outputs["neg"] == [-1, 0]
 
@@ -315,7 +323,7 @@ class TestMerge:
         g.connect(a, m, MERGE_TRUE_PORT)
         g.connect(b, m, MERGE_FALSE_PORT)
         g.connect(m, sink, 0)
-        res = run_graph(g, {"A": [1, 2], "B": [10, 20]})
+        res = repro.run(g, {"A": [1, 2], "B": [10, 20]}, backend="sync")
         assert res.outputs["y"] == [10, 1, 20, 2]
 
     def test_merge_with_constant_initial_value(self):
@@ -329,7 +337,7 @@ class TestMerge:
         g.connect(ctl, m, MERGE_CONTROL_PORT)
         g.connect(a, m, MERGE_TRUE_PORT)
         g.connect(m, sink, 0)
-        res = run_graph(g, {"A": [1, 2]})
+        res = repro.run(g, {"A": [1, 2]}, backend="sync")
         assert res.outputs["y"] == [99, 1, 2]
 
     def test_merge_leaves_other_operand_untouched(self):
@@ -344,7 +352,7 @@ class TestMerge:
         g.connect(a, m, MERGE_TRUE_PORT)
         g.connect(b, m, MERGE_FALSE_PORT)
         g.connect(m, sink, 0)
-        res = run_graph(g, {"A": [1, 2], "B": [42]})
+        res = repro.run(g, {"A": [1, 2], "B": [42]}, backend="sync")
         assert res.outputs["y"] == [1, 2, 42]
 
 
@@ -356,7 +364,7 @@ class TestInitialTokens:
         sink = g.add_sink("out", stream="y")
         g.connect(s, i, 0)
         g.connect(i, sink, 0, initial=-1)
-        res = run_graph(g, {"x": [1, 2]})
+        res = repro.run(g, {"x": [1, 2]}, backend="sync")
         assert res.outputs["y"] == [-1, 1, 2]
 
 
@@ -371,7 +379,8 @@ class TestDeadlockDetection:
         g.connect(b, add, 1)
         g.connect(add, sink, 0)
         with pytest.raises(DeadlockError) as exc:
-            run_graph(g, {"a": [1, 2, 3], "b": [1, 2, 3, 4, 5]})
+            repro.run(g, {"a": [1, 2, 3], "b": [1, 2, 3, 4, 5]},
+                      backend="sync")
         assert exc.value.pending == 2
 
     def test_no_error_without_limit(self):
@@ -383,7 +392,8 @@ class TestDeadlockDetection:
         g.connect(a, add, 0)
         g.connect(b, add, 1)
         g.connect(add, sink, 0)
-        res = run_graph(g, {"a": [1, 2, 3], "b": [1, 2, 3, 4, 5]})
+        res = repro.run(g, {"a": [1, 2, 3], "b": [1, 2, 3, 4, 5]},
+                        backend="sync")
         assert res.outputs["y"] == [2, 4, 6]
 
     def test_nonquiescent_guard(self):
@@ -404,7 +414,7 @@ class TestToddCounter:
         cmp_cell = build_todd_counter(g, lo=1, hi=5, cmp_op=Op.LE, bound=3)
         sink = g.add_sink("out", stream="y")
         g.connect(cmp_cell, sink, 0)
-        res = run_graph(g, {})
+        res = repro.run(g, {}, backend="sync")
         assert res.outputs["y"] == [True, True, True, False, False]
 
     def test_counter_quiesces(self):
@@ -412,7 +422,7 @@ class TestToddCounter:
         cmp_cell = build_todd_counter(g, lo=0, hi=9, cmp_op=Op.LT, bound=5)
         sink = g.add_sink("out", stream="y", limit=10)
         g.connect(cmp_cell, sink, 0)
-        res = run_graph(g, {})
+        res = repro.run(g, {}, backend="sync")
         assert res.outputs["y"] == [True] * 5 + [False] * 5
 
 

@@ -2,9 +2,9 @@
 
 `repro.run()` must accept Val source, a CompiledProgram or a raw
 graph, dispatch to any registered backend, agree across backends on
-outputs, reject options a backend cannot honor (instead of silently
-dropping them), and keep the old entry points working as deprecated
-shims.  The ``--json`` CLI envelope rides on the same RunResult shape.
+outputs, and reject options a backend cannot honor (instead of
+silently dropping them).  The ``--json`` CLI envelope rides on the
+same RunResult shape.
 """
 
 import json
@@ -34,7 +34,8 @@ class TestRunFacade:
             "sync": {},
             "event": {"config": MachineConfig.unit_time()},
             "sharded": {"config": MachineConfig.unit_time(),
-                        "shards": 2, "processes": False},
+                        "shard_config": {"shards": 2,
+                                         "processes": False}},
             "compiled": {"config": MachineConfig.unit_time()},
         }
         results = {
@@ -127,20 +128,52 @@ class TestRunFacade:
     def test_reject_compares_against_real_defaults(self):
         """Regression: ``reject`` used a shared sentinel, so any field
         whose *actual* default was falsy (``recovery=False`` after an
-        explicit pass, ``processes=True``) was either spuriously
-        rejected or silently accepted."""
+        explicit pass) was either spuriously rejected or silently
+        accepted."""
         cp, inputs = _fig2()
         # recovery is a sync-irrelevant machine knob with default True;
         # passing the non-default False must NOT trip the validator
         result = repro.run(cp, inputs, backend="sync", recovery=False)
         assert result.backend == "sync"
-        # processes defaults to None, so *both* explicit spellings are
-        # "set" and must be caught on non-sharded backends
-        for value in (True, False):
+        # processes is no option of any backend, whatever its value
+        for value in (True, False, None):
             with pytest.raises(ReproError, match="processes"):
                 repro.run(cp, inputs, backend="event", processes=value)
-        # the default partition="auto" still passes untouched
-        repro.run(cp, inputs, backend="event", partition="auto")
+        # the default shards=None still passes untouched
+        repro.run(cp, inputs, backend="event", shards=None)
+
+    @pytest.mark.parametrize(
+        "backend", ["sync", "event", "sharded", "compiled"]
+    )
+    @pytest.mark.parametrize(
+        "option", ["processes", "heal", "partition", "procesess"]
+    )
+    def test_every_backend_rejects_unknown_options(self, backend, option):
+        cp, inputs = _fig2()
+        with pytest.raises(ReproError, match=f"'{option}'"):
+            repro.run(cp, inputs, backend=backend, **{option: True})
+
+    def test_explicit_one_shard_means_one_shard(self):
+        cp, inputs = _fig2()
+        event = repro.run(cp, inputs, backend="event")
+        sharded = repro.run(cp, inputs, backend="sharded", shards=1)
+        assert sharded.shards == 1
+        assert len(sharded.engine.machines) == 1
+        assert sharded.outputs == event.outputs
+
+    def test_sharded_default_is_the_config_default(self):
+        from repro.machine import ShardConfig
+
+        cp, inputs = _fig2()
+        result = repro.run(cp, inputs, backend="sharded",
+                           config=MachineConfig.unit_time())
+        assert result.shards == ShardConfig().shards == 2
+
+    def test_shards_with_shard_config_is_an_error(self):
+        cp, inputs = _fig2()
+        with pytest.raises(ReproError, match="not both"):
+            repro.run(cp, inputs, backend="sharded", shards=2,
+                      shard_config={"processes": False})
 
     def test_register_backend(self):
         calls = []
@@ -263,27 +296,6 @@ class TestRunResultJson:
         )
         with pytest.raises(ValueError, match="produced no outputs"):
             result.latency("X")
-
-
-class TestDeprecatedShims:
-    def test_run_graph_warns_and_works(self):
-        cp, inputs = _fig2()
-        streams = cp.prepare_inputs(inputs)
-        with pytest.deprecated_call(match="repro.run"):
-            rr = repro.run_graph(cp.graph, streams)
-        assert rr.outputs == repro.run(cp, inputs,
-                                       backend="sync").outputs
-
-    def test_run_machine_warns_and_works(self):
-        cp, inputs = _fig2()
-        streams = cp.prepare_inputs(inputs)
-        with pytest.deprecated_call(match="repro.run"):
-            outputs, stats, machine = repro.run_machine(
-                cp.graph, streams
-            )
-        assert outputs == repro.run(cp, inputs).outputs
-        assert stats.total_firings > 0
-        assert machine.outputs() == outputs
 
 
 class TestCliJson:

@@ -4,10 +4,10 @@ import random
 
 import pytest
 
+import repro
 from repro.compiler import compile_program
 from repro.graph import Op, validate
 from repro.machine import MachineConfig
-from repro.sim import run_graph
 from repro.val import parse_program, run_program
 from repro.workloads import (
     WEATHER_STEP_SOURCE,
@@ -84,7 +84,7 @@ class TestWeatherWorkload:
         cp = compile_weather_step(m)
         g = am_backed(cp)
         state = initial_weather_state(m, seed=2)
-        res = run_graph(g, state)
+        res = repro.run(g, state, backend="sync")
         ref = cp.run(state)
         assert res.outputs["V"] == pytest.approx(
             ref.outputs["V"].to_list()
@@ -143,7 +143,7 @@ class TestGenerators:
         rng = random.Random(15)
         g = random_layered_graph(rng, n_layers=4, width=3)
         balance_graph(g)
-        res = run_graph(g, {"x": [1.0] * 40})
+        res = repro.run(g, {"x": [1.0] * 40}, backend="sync")
         assert res.initiation_interval() == pytest.approx(2.0, abs=0.05)
 
     def test_generation_is_deterministic(self):
