@@ -102,7 +102,7 @@ class TestFidelityWithUnitDelaySimulator:
         res = repro.run(
             cp.graph, inputs, config=MachineConfig.unit_time()
         )
-        outs, _stats, machine = res.outputs, res.stats, res.engine
+        outs, machine = res.outputs, res.engine
         stream = next(iter(cp.output_specs))
         assert outs[stream] == sync_res.outputs[stream]
         sync_times = sync_res.sink_times[stream]
